@@ -61,10 +61,6 @@ void open_report(const std::string& name) {
 
 void print_banner(const std::string& artifact, const std::string& setup,
                   const std::string& paper_expectation) {
-  // Benches compile thousands of schedules over their grids; skip the
-  // static analysis passes unless explicitly requested (SLIMPIPE_LINT=1).
-  const char* lint = std::getenv("SLIMPIPE_LINT");
-  slim::sched::set_compile_lint(lint != nullptr && lint[0] == '1');
   std::printf("\n================================================================\n");
   std::printf("Reproducing: %s\n", artifact.c_str());
   std::printf("Setup:       %s\n", setup.c_str());

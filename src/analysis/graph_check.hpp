@@ -1,32 +1,28 @@
 #pragma once
 
-// Analysis pass 2 — graph lint.
+// Post-build graph lint.
 //
-// Runs on a built sim::OpGraph and verifies the invariants the executor and
-// the memory tracker otherwise only discover dynamically:
+// Runs on a built sim::OpGraph and checks the few properties the tabular
+// IR cannot express (everything schedule-level — ordering, pairing,
+// deadlock freedom, ledger dips — is certified before the build by
+// verify_ir). One linear pass over the ops and the resource programs:
 //
 //   graph-dep-range       dependency op ids out of range / self-deps
 //   graph-resource-order  op/program table inconsistency (an op missing from
 //                         its resource's program, listed twice, or recorded
 //                         out of insertion order)
-//   graph-acyclic         dependency + program-order cycle; the finding
-//                         reports the cycle path, not just its existence
-//   graph-unmatched-send  a P2P transfer no op ever waits on (the payload
-//                         would never be received)
-//   graph-channel-fifo    per directed channel, receivers must consume
-//                         transfers in FIFO delivery order (error: the static
-//                         form of the runtime's receive_for deadlock probe);
-//                         senders should produce them in posting order
-//                         (warning: an inversion only adds latency)
 //   graph-mem-balance     per (device, category), the summed MemDelta bytes
-//                         of an iteration must return to zero
-//   graph-mem-negative    no dependency-consistent replay order may drive a
-//                         (device, category) balance below zero
+//                         of an iteration must return to zero (covers the
+//                         logits and offload bytes the IR memory
+//                         certificate leaves out)
 //   graph-vocab-ops       explicit VocabForward/VocabBackward ops appear iff
 //                         the spec does NOT use vocabulary parallelism (the
 //                         parallel form folds them into every device's
 //                         forward/backward), and only on the last stage's
 //                         device (spec overload only)
+//
+// Dependency cycles are not looked for here: sim::execute throws a
+// "schedule deadlock" error naming the blocked ops.
 
 #include <vector>
 
@@ -36,22 +32,11 @@
 
 namespace slim::analysis {
 
-struct GraphLintOptions {
-  /// Absolute slack, in bytes, for the per-(device, category) conservation
-  /// rule (covers float cancellation of ZB-V's split frees).
-  double balance_tolerance_bytes = 16.0;
-  /// Cap on reported findings per rule, to keep a badly broken graph's
-  /// report readable.
-  std::size_t max_findings_per_rule = 8;
-};
-
 /// Structural rules only (no spec required).
-std::vector<Finding> check_graph(const sim::OpGraph& graph,
-                                 const GraphLintOptions& options = {});
+std::vector<Finding> check_graph(const sim::OpGraph& graph);
 
 /// Structural rules plus the spec-dependent vocabulary-op rule.
 std::vector<Finding> check_graph(const sim::OpGraph& graph,
-                                 const sched::PipelineSpec& spec,
-                                 const GraphLintOptions& options = {});
+                                 const sched::PipelineSpec& spec);
 
 }  // namespace slim::analysis

@@ -21,6 +21,10 @@ using ir::ScheduleIR;
 using sched::PassType;
 using sched::StageLayout;
 
+/// Absolute slack on the in-flight cap: covers float accumulation of the
+/// fractional BI/BW frees.
+constexpr double kInflightTolerance = 1e-6;
+
 std::string row_location(const Row& row) {
   std::ostringstream out;
   out << "dev " << row.device << " row " << row.order << " ("
@@ -325,12 +329,61 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
     }
   }
 
+  // Per-(stage, microbatch, slice) unit table: the first row of each pass
+  // kind plus occurrence counts, shared by the deadlock and progress rules.
+  struct UnitRows {
+    std::size_t forward = SIZE_MAX;  // F
+    std::size_t retire = SIZE_MAX;   // B or BI: produces the input gradient
+    std::size_t weight = SIZE_MAX;   // BW
+    int forwards = 0, backwards = 0, inputs = 0, weights = 0;
+  };
+  const std::size_t per_stage =
+      static_cast<std::size_t>(spec.m) * static_cast<std::size_t>(spec.n);
+  auto unit_index = [&](int stage, std::int32_t mb, std::int32_t slice) {
+    return static_cast<std::size_t>(stage) * per_stage +
+           static_cast<std::size_t>(mb) * static_cast<std::size_t>(spec.n) +
+           static_cast<std::size_t>(slice);
+  };
+  std::vector<UnitRows> units(static_cast<std::size_t>(num_stages) *
+                              per_stage);
+  for (std::size_t idx = 0; idx < rows.size(); ++idx) {
+    const Row& row = rows[idx];
+    if (row.stage < 0 || row.stage >= num_stages) continue;
+    UnitRows& unit = units[unit_index(row.stage, row.microbatch, row.slice)];
+    std::size_t* first = nullptr;
+    switch (row.kind) {
+      case PassType::Forward:
+        ++unit.forwards;
+        first = &unit.forward;
+        break;
+      case PassType::Backward:
+        ++unit.backwards;
+        first = &unit.retire;
+        break;
+      case PassType::BackwardInput:
+        ++unit.inputs;
+        first = &unit.retire;
+        break;
+      case PassType::BackwardWeight:
+        ++unit.weights;
+        first = &unit.weight;
+        break;
+    }
+    if (*first == SIZE_MAX) *first = idx;
+  }
+
   // ---- verify-deadlock: wait-for graph cycle detection ----
+  // Edges: per-device program order, matched send -> recv pairs, and each
+  // unit's data dependencies — F -> B|BI -> BW within a stage, F(s) ->
+  // F(s+1) and retire(s+1) -> retire(s) across stages. The data edges hold
+  // whether or not adjacent stages share a device, so a V-shape turn (two
+  // stages on one device, no message between them) is covered too.
   {
     const std::size_t n = rows.size();
     std::vector<std::vector<std::size_t>> succ(n);
     std::vector<std::int32_t> indeg(n, 0);
     auto add_edge = [&](std::size_t from, std::size_t to) {
+      if (from == SIZE_MAX || to == SIZE_MAX) return;
       succ[from].push_back(to);
       ++indeg[to];
     };
@@ -340,6 +393,19 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
       }
     }
     for (const auto& [send, recv] : matched) add_edge(send, recv);
+    for (int stage = 0; stage < num_stages; ++stage) {
+      for (std::int32_t mb = 0; mb < spec.m; ++mb) {
+        for (std::int32_t slice = 0; slice < spec.n; ++slice) {
+          const UnitRows& unit = units[unit_index(stage, mb, slice)];
+          add_edge(unit.forward, unit.retire);
+          add_edge(unit.retire, unit.weight);
+          if (stage + 1 == num_stages) continue;
+          const UnitRows& next = units[unit_index(stage + 1, mb, slice)];
+          add_edge(unit.forward, next.forward);
+          add_edge(next.retire, unit.retire);
+        }
+      }
+    }
 
     std::vector<std::size_t> ready;
     std::size_t done = 0;
@@ -414,63 +480,36 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
   }
 
   // ---- verify-progress: every unit completable at every stage ----
-  {
-    struct UnitState {
-      int forwards = 0, backwards = 0, inputs = 0, weights = 0;
-    };
-    const std::size_t per_stage = static_cast<std::size_t>(spec.m) *
-                                  static_cast<std::size_t>(spec.n);
-    std::vector<UnitState> state(static_cast<std::size_t>(num_stages) *
-                                 per_stage);
-    for (const Row& row : rows) {
-      if (row.stage < 0 || row.stage >= num_stages) continue;
-      UnitState& unit =
-          state[static_cast<std::size_t>(row.stage) * per_stage +
-                static_cast<std::size_t>(row.microbatch) *
-                    static_cast<std::size_t>(spec.n) +
-                static_cast<std::size_t>(row.slice)];
-      switch (row.kind) {
-        case PassType::Forward: ++unit.forwards; break;
-        case PassType::Backward: ++unit.backwards; break;
-        case PassType::BackwardInput: ++unit.inputs; break;
-        case PassType::BackwardWeight: ++unit.weights; break;
-      }
-    }
-    for (int stage = 0; stage < num_stages; ++stage) {
-      for (std::int32_t mb = 0; mb < spec.m; ++mb) {
-        for (std::int32_t slice = 0; slice < spec.n; ++slice) {
-          const UnitState& unit =
-              state[static_cast<std::size_t>(stage) * per_stage +
-                    static_cast<std::size_t>(mb) *
-                        static_cast<std::size_t>(spec.n) +
-                    static_cast<std::size_t>(slice)];
-          const bool retired =
-              (unit.backwards == 1 && unit.inputs == 0 && unit.weights == 0) ||
-              (unit.backwards == 0 && unit.inputs == 1 && unit.weights == 1);
-          if (unit.forwards == 1 && retired) continue;
-          const std::string loc = "stage " + std::to_string(stage) + " (dev " +
-                                  std::to_string(layout.device_of(stage)) +
-                                  ") unit " + unit_text(mb, slice);
-          std::ostringstream msg;
-          if (unit.forwards == 0 &&
-              unit.backwards + unit.inputs + unit.weights == 0) {
-            msg << "unit is never scheduled at this stage: the microbatch "
-                << "cannot complete";
-          } else if (unit.forwards == 0) {
-            msg << "orphaned backward: unit is retired (B=" << unit.backwards
-                << " BI=" << unit.inputs << " BW=" << unit.weights
-                << ") but never forwarded";
-          } else if (unit.backwards + unit.inputs + unit.weights == 0) {
-            msg << "orphaned forward: unit is forwarded but never retired "
-                << "by a backward";
-          } else {
-            msg << "unit coverage is F=" << unit.forwards
-                << " B=" << unit.backwards << " BI=" << unit.inputs
-                << " BW=" << unit.weights
-                << " (expected F=1 and B=1 or BI=1+BW=1)";
-          }
-          report("verify-progress", loc, msg.str());
+  for (int stage = 0; stage < num_stages; ++stage) {
+    for (std::int32_t mb = 0; mb < spec.m; ++mb) {
+      for (std::int32_t slice = 0; slice < spec.n; ++slice) {
+        const UnitRows& unit = units[unit_index(stage, mb, slice)];
+        const bool retired =
+            (unit.backwards == 1 && unit.inputs == 0 && unit.weights == 0) ||
+            (unit.backwards == 0 && unit.inputs == 1 && unit.weights == 1);
+        if (unit.forwards == 1 && retired) continue;
+        const std::string loc = "stage " + std::to_string(stage) + " (dev " +
+                                std::to_string(layout.device_of(stage)) +
+                                ") unit " + unit_text(mb, slice);
+        std::ostringstream msg;
+        if (unit.forwards == 0 &&
+            unit.backwards + unit.inputs + unit.weights == 0) {
+          msg << "unit is never scheduled at this stage: the microbatch "
+              << "cannot complete";
+        } else if (unit.forwards == 0) {
+          msg << "orphaned backward: unit is retired (B=" << unit.backwards
+              << " BI=" << unit.inputs << " BW=" << unit.weights
+              << ") but never forwarded";
+        } else if (unit.backwards + unit.inputs + unit.weights == 0) {
+          msg << "orphaned forward: unit is forwarded but never retired "
+              << "by a backward";
+        } else {
+          msg << "unit coverage is F=" << unit.forwards
+              << " B=" << unit.backwards << " BI=" << unit.inputs
+              << " BW=" << unit.weights
+              << " (expected F=1 and B=1 or BI=1+BW=1)";
         }
+        report("verify-progress", loc, msg.str());
       }
     }
   }
@@ -518,10 +557,13 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
 
     // The activation/KV deltas all come from a device's own passes, so a
     // per-device program-order replay reproduces the simulator's replayed
-    // category peaks exactly (offload and logits excluded by design).
+    // category peaks exactly (offload and logits excluded by design). The
+    // same walk keeps a slice-unit ledger (F +1, B -1, BI -(1-wkeep),
+    // BW -wkeep) checked against the table's declared in-flight cap.
     std::vector<bool> dipped(static_cast<std::size_t>(num_stages), false);
     for (int dev = 0; dev < spec.p; ++dev) {
-      double dev_act = 0.0, dev_kv = 0.0;
+      double dev_act = 0.0, dev_kv = 0.0, live_units = 0.0;
+      bool over_cap = false;
       for (const std::size_t idx : device_pos[static_cast<std::size_t>(dev)]) {
         const Row& row = rows[idx];
         if (row.stage < 0 || row.stage >= num_stages) continue;
@@ -539,18 +581,31 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
           case PassType::Forward:
             d_act = act + kv_as_act;
             d_kv = kv_as_kv;
+            live_units += 1.0;
             break;
           case PassType::Backward:
             d_act = -(act + kv_as_act);
             d_kv = -kv_as_kv;
+            live_units -= 1.0;
             break;
           case PassType::BackwardInput:
             d_act = -(act * (1.0 - wkeep) + kv_as_act);
             d_kv = -kv_as_kv;
+            live_units -= 1.0 - wkeep;
             break;
           case PassType::BackwardWeight:
             d_act = -act * wkeep;
+            live_units -= wkeep;
             break;
+        }
+        if (table.max_inflight_units > 0.0 && !over_cap &&
+            live_units > table.max_inflight_units + kInflightTolerance) {
+          over_cap = true;  // one report per device, not per pass
+          std::ostringstream msg;
+          msg << "live activation units reach " << live_units
+              << ", above the declared in-flight cap of "
+              << table.max_inflight_units;
+          report("verify-memory-cert", row_location(row), msg.str());
         }
         stage_act[stage] += d_act;
         stage_kv[stage] += d_kv;

@@ -1,12 +1,12 @@
 #pragma once
 
-// Analysis pass 3 — whole-schedule static verification on the tabular IR.
+// The static gate: whole-schedule verification on the tabular IR.
 //
 // Runs on the ScheduleIR table *before* any op graph is built, so a
 // user-supplied or synthesized schedule is certified (or rejected with a
-// named, located finding) without touching the simulator. Cross-device
-// rules, complementing the per-device schedule lint (schedule_check) and
-// the post-build graph lint (graph_check):
+// named, located finding) without touching the simulator. check_schedule
+// (schedule_check.hpp) is the same gate entered from per-device programs;
+// the post-build graph_check only covers what the table cannot express.
 //
 //   ir-structure        malformed table: duplicate/gapped per-device order,
 //                       indices outside (p, v, n, m), stage inconsistent
@@ -15,23 +15,29 @@
 //                       happens-before it in channel FIFO order; declared
 //                       endpoints agree with the stage boundary the pass
 //                       crosses; no send is left unconsumed
-//   verify-deadlock     the wait-for graph (per-device program order +
-//                       matched send/recv pairs) is acyclic; a violation
-//                       names a minimal witness cycle
+//   verify-deadlock     the wait-for graph (per-device program order,
+//                       matched send/recv pairs, and per-unit data edges
+//                       F -> B|BI -> BW, F(s) -> F(s+1), retire(s+1) ->
+//                       retire(s)) is acyclic; a violation names a minimal
+//                       witness cycle
 //   verify-progress     every (microbatch, slice) unit is completable at
 //                       every stage: exactly one forward and exactly one
 //                       retiring backward (B, or the BI+BW split) — no
 //                       orphaned forwards or backwards
 //   verify-memory-cert  static replay of the in-flight activation/KV ledger
 //                       producing a peak-bytes certificate per stage and
-//                       per device; flags ledger dips below zero and, when
-//                       a budget is given, certificate peaks above it
+//                       per device; flags ledger dips below zero, live
+//                       slice units above the table's declared
+//                       max_inflight_units (F +1, B -1, BI -(1-wkeep),
+//                       BW -wkeep) and, when a budget is given,
+//                       certificate peaks above it
 //
 // The memory certificate books the same bytes sched::compile attaches to
 // the graph (model::act_bytes_per_token_layer_no_kv + the KV term, split
 // frees weighted by wgrad_kept_fraction), so it reconciles with the
 // simulator's mem::replay_memory peaks to within the mem::reconcile_peaks
-// tolerance — certificate_peaks() packages it for exactly that check.
+// tolerance — MemoryCertificate::measured_peaks() packages it for exactly
+// that check.
 // Offload PCIe traffic and logits are outside the certificate's scope (the
 // certificate is an upper bound when offload is enabled).
 

@@ -52,7 +52,7 @@ sched::ScheduleResult run_scheme(Scheme scheme, sched::PipelineSpec spec,
   }
   // Routing through plan_scheme (rather than the legacy run_* runners)
   // stamps the scheme's declared in-flight cap on the spec, so compile()
-  // enforces the sched-inflight-bound rule on every simulated run.
+  // enforces the cap on every simulated run.
   SchedulePlan plan = plan_scheme(scheme, std::move(spec));
   std::unique_ptr<ExchangePlanner> planner;
   if (plan.spec.context_exchange && plan.spec.p > 1) {

@@ -782,18 +782,14 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         iteration_report.events.push_back(event);
       }
       if (rec != nullptr) {
-        // Re-base worker-local trace records onto the run clock: the
-        // ping/pong offset estimate when available (error bound rtt/2),
-        // else the cruder fork-time offset.
-        auto to_run_clock = [&w](double worker_ts) {
-          const double run_ts = w.aligner.aligned()
-                                    ? w.aligner.to_local(worker_ts)
-                                    : w.fork_offset + worker_ts;
-          // The estimate's error is bounded by rtt/2, which on a loaded box
-          // can push a worker's earliest events before its fork — clamp to
-          // the one provable lower bound (every worker event postdates the
-          // fork the supervisor timed itself).
-          return std::max(run_ts, w.fork_offset);
+        // Re-base worker-local trace records onto the run clock with one
+        // shift per worker: the ping/pong estimate of the worker's epoch
+        // (error bound rtt/2, which grows under load), never before the
+        // fork the supervisor timed itself, else the fork time. One shift
+        // keeps every span duration and flow spacing the worker measured.
+        const double epoch = w.aligner.remote_epoch(w.fork_offset);
+        auto to_run_clock = [epoch](double worker_ts) {
+          return epoch + worker_ts;
         };
         for (const WireSpan& span : info.spans) {
           rec->span(w.stage, span.name, span.category,

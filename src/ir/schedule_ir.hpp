@@ -62,7 +62,7 @@ struct ScheduleIR {
   model::CpMode cp_mode = model::CpMode::RingKv;
 
   /// Declared cap on simultaneously-live activation units (0 = undeclared);
-  /// enforced by the sched-inflight-bound rule when positive.
+  /// enforced by verify_ir's verify-memory-cert rule when positive.
   double max_inflight_units = 0.0;
 
   /// Rows in canonical order: sorted by (device, order).

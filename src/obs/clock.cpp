@@ -33,4 +33,8 @@ double ClockAligner::best_rtt() const {
   return it->rtt;
 }
 
+double ClockAligner::remote_epoch(double start_bound) const {
+  return aligned() ? std::max(-offset(), start_bound) : start_bound;
+}
+
 }  // namespace slim::obs

@@ -27,7 +27,8 @@
 // theta's error is bounded by rtt/2 (exact under symmetric one-way delays),
 // so the aligner keeps the minimum-rtt sample of a sliding window: tighter
 // round-trips give tighter offsets, and the window lets the estimate track
-// slow drift. run_time = worker_time - theta.
+// slow drift. run_time = worker_time - theta, applied as one per-worker
+// shift (remote_epoch) that never precedes the worker's fork.
 
 #include <chrono>
 #include <cstddef>
@@ -76,6 +77,14 @@ class ClockAligner {
 
   /// Maps a remote timestamp onto the local clock.
   double to_local(double remote_ts) const { return remote_ts - offset(); }
+
+  /// Local time of the remote clock's zero, for a remote clock known to
+  /// start no earlier than `start_bound` (local clock): the aligned
+  /// estimate, raised to the bound when its rtt/2 error puts it before;
+  /// the bound itself until aligned. Shifting a whole remote timeline by
+  /// this one value keeps every remote duration exact — clamping each
+  /// timestamp on its own would shorten spans that straddle the bound.
+  double remote_epoch(double start_bound) const;
 
  private:
   struct Entry {

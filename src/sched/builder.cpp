@@ -6,9 +6,7 @@
 
 #include "src/analysis/graph_check.hpp"
 #include "src/analysis/schedule_check.hpp"
-#include "src/analysis/verify.hpp"
 #include "src/fault/fault_sim.hpp"
-#include "src/ir/schedule_ir.hpp"
 #include "src/model/activation.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -99,20 +97,15 @@ BuildOutput compile(const PipelineSpec& spec,
   SLIM_CHECK(static_cast<int>(programs.size()) == spec.p,
              "one program per pipeline device required");
 
-  // ---- static analysis, phase 1: schedule lint + IR verification ----
-  // Runs *before* any graph is built, so a rejected schedule costs nothing
-  // and external (imported) schedules are certified by the same path. The
-  // spec carries the scheme's declared in-flight cap (core::plan_scheme
-  // fills it in); 0 leaves the sched-inflight-bound rule off.
+  // ---- static gate: lower to the IR and verify, before any build ----
+  // A rejected schedule costs nothing, and external (imported) schedules
+  // are certified by the same path. The spec carries the scheme's declared
+  // in-flight cap (core::plan_scheme fills it in); 0 leaves the cap off.
   if (compile_lint_enabled()) {
-    analysis::ScheduleLintOptions sched_opts;
-    sched_opts.max_inflight_units = spec.max_inflight_units;
-    std::vector<analysis::Finding> findings =
-        analysis::check_schedule(spec, programs, sched_opts);
-    const analysis::VerifyResult verdict =
-        analysis::verify_ir(ir::lower(spec, programs, "compile"), spec);
-    findings.insert(findings.end(), verdict.findings.begin(),
-                    verdict.findings.end());
+    analysis::ScheduleLintOptions options;
+    options.max_inflight_units = spec.max_inflight_units;
+    const std::vector<analysis::Finding> findings =
+        analysis::check_schedule(spec, programs, options);
     if (analysis::has_errors(findings)) {
       SLIM_CHECK(false, "static analysis rejected the schedule:\n" +
                             analysis::render(findings));
@@ -373,6 +366,11 @@ BuildOutput compile(const PipelineSpec& spec,
           if (kv_full > 0.0) {
             graph.add_mem(op, {dev, kv_category, -kv_full, true});
           }
+          // The input-gradient half retires the slice, so it also frees
+          // the sharded logits the vocab-parallel forward booked.
+          if (spec.vocab_parallel && pass.chunk == spec.v - 1) {
+            graph.add_mem(op, {dev, mem::kLogits, -logits_slice, false});
+          }
           break;
         case PassType::BackwardWeight:
           graph.add_mem(op, {dev, mem::kActivation, -act_full * wkeep, true});
@@ -555,9 +553,9 @@ BuildOutput compile(const PipelineSpec& spec,
          params * 12.0 / static_cast<double>(std::max<std::int64_t>(1, spec.d))});
   }
 
-  // ---- static analysis, phase 2: graph lint ----
-  // The pre-build rules ran above; this pass checks properties only the
-  // built graph exposes (dependency cycles, transfer pairing, balances).
+  // ---- post-build graph lint ----
+  // The pre-build gate ran above; this pass checks properties only the
+  // built graph exposes (op table consistency, ledger balances, vocab ops).
   if (compile_lint_enabled()) {
     const std::vector<analysis::Finding> findings =
         analysis::check_graph(graph, spec);

@@ -97,8 +97,8 @@ struct PipelineSpec {
   std::int64_t d = 1;                       // data-parallel size (optimizer)
 
   /// Declared cap on simultaneously-live activation units (slices) per
-  /// device. 0 = undeclared; when positive, sched::compile enforces it via
-  /// the sched-inflight-bound lint rule. core::plan_scheme fills in each
+  /// device. 0 = undeclared; when positive, sched::compile's static gate
+  /// enforces it (verify-memory-cert). core::plan_scheme fills in each
   /// scheme's analytical cap.
   double max_inflight_units = 0.0;
 

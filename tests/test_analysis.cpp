@@ -1,9 +1,11 @@
-// Static analysis passes (src/analysis): the schedule lint, the graph lint
-// and their wiring into sched::compile.
+// Static analysis (src/analysis): the pre-build gate entered from
+// per-device programs (check_schedule = lower + verify_ir), the post-build
+// graph lint and their wiring into sched::compile.
 //
 // Strategy: every rule gets one deliberately corrupted fixture asserting the
 // exact rule_id, plus a clean sweep over all seed schemes proving the rules
-// have no false positives on correct schedules.
+// have no false positives on correct schedules. Program-level corruptions
+// assert the IR rule that rejects them; IR-level ones live in test_ir.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "src/memory/tracker.hpp"
 #include "src/sched/builder.hpp"
 #include "src/sched/schedule.hpp"
+#include "src/sim/executor.hpp"
 #include "src/sim/graph.hpp"
 
 namespace {
@@ -73,7 +76,8 @@ std::vector<Finding> lint_schedule(const core::SchedulePlan& plan) {
 
 // ---------------------------------------------------------------------------
 // Clean sweep: all schemes over the acceptance grid produce zero findings
-// from both passes (and the scheme's declared in-flight bound holds).
+// from both passes (and the scheme's declared in-flight bound holds), with
+// the sharded output layer on every scheme.
 
 TEST(AnalysisSweep, AllSchemesCleanAcrossGrid) {
   for (const core::Scheme scheme : core::all_schemes()) {
@@ -85,7 +89,7 @@ TEST(AnalysisSweep, AllSchemesCleanAcrossGrid) {
           }
           sched::PipelineSpec spec = base_spec(p, n, m);
           spec.context_exchange = true;
-          spec.vocab_parallel = scheme == core::Scheme::SlimPipe;
+          spec.vocab_parallel = true;
           SCOPED_TRACE(std::string(core::scheme_name(scheme)) + " p=" +
                        std::to_string(p) + " n=" + std::to_string(n) +
                        " m=" + std::to_string(m));
@@ -105,7 +109,8 @@ TEST(AnalysisSweep, AllSchemesCleanAcrossGrid) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1 fixtures: one corrupted schedule per rule.
+// Gate fixtures: one corrupted program set per former per-device rule,
+// each asserting the IR rule that now rejects it.
 
 TEST(ScheduleCheck, DroppedBackwardFiresBackwardMultiplicity) {
   core::SchedulePlan plan =
@@ -117,7 +122,7 @@ TEST(ScheduleCheck, DroppedBackwardFiresBackwardMultiplicity) {
   ASSERT_NE(it, program.end());
   program.erase(it);
   const auto findings = lint_schedule(plan);
-  EXPECT_TRUE(has_rule(findings, "sched-backward-multiplicity"))
+  EXPECT_TRUE(has_rule(findings, "verify-progress"))
       << analysis::render(findings);
   EXPECT_TRUE(analysis::has_errors(findings));
 }
@@ -129,7 +134,7 @@ TEST(ScheduleCheck, DuplicatedForwardFiresForwardMultiplicity) {
   ASSERT_EQ(program.front().type, PassType::Forward);
   program.push_back(program.front());
   const auto findings = lint_schedule(plan);
-  EXPECT_TRUE(has_rule(findings, "sched-forward-multiplicity"))
+  EXPECT_TRUE(has_rule(findings, "verify-progress"))
       << analysis::render(findings);
 }
 
@@ -137,7 +142,8 @@ TEST(ScheduleCheck, ZbvWeightBeforeInputFiresBackwardOrder) {
   core::SchedulePlan plan =
       core::plan_scheme(core::Scheme::ZBV, base_spec(4, 1, 8));
   // Swap the first BackwardInput with its unit's BackwardWeight: the W half
-  // then runs before the I half, which ZB-V's split ordering forbids.
+  // then runs before the I half it depends on, a BI -> BW data edge against
+  // program order.
   auto& program = plan.programs[0];
   const auto input = std::find_if(
       program.begin(), program.end(),
@@ -152,7 +158,7 @@ TEST(ScheduleCheck, ZbvWeightBeforeInputFiresBackwardOrder) {
   ASSERT_NE(weight, program.end());
   std::iter_swap(input, weight);
   const auto findings = lint_schedule(plan);
-  EXPECT_TRUE(has_rule(findings, "sched-backward-order"))
+  EXPECT_TRUE(has_rule(findings, "verify-deadlock"))
       << analysis::render(findings);
 }
 
@@ -160,14 +166,15 @@ TEST(ScheduleCheck, BackwardBeforeForwardFiresBackwardOrder) {
   core::SchedulePlan plan =
       core::plan_scheme(core::Scheme::OneF1B, base_spec(2, 1, 4));
   // The last stage runs strict 1F1B: F0 B0 F1 B1 ... — swapping the first
-  // two passes schedules B0 before its forward.
+  // two passes schedules B0 before its forward: an F -> B data edge against
+  // program order.
   auto& program = plan.programs[1];
   ASSERT_GE(program.size(), 2u);
   ASSERT_EQ(program[0].type, PassType::Forward);
   ASSERT_EQ(program[1].type, PassType::Backward);
   std::swap(program[0], program[1]);
   const auto findings = lint_schedule(plan);
-  EXPECT_TRUE(has_rule(findings, "sched-backward-order"))
+  EXPECT_TRUE(has_rule(findings, "verify-deadlock"))
       << analysis::render(findings);
 }
 
@@ -180,7 +187,7 @@ TEST(ScheduleCheck, GpipeAccumulationExceedsOneF1bBound) {
   options.max_inflight_units = 2.0;
   const auto findings =
       analysis::check_schedule(plan.spec, plan.programs, options);
-  EXPECT_TRUE(has_rule(findings, "sched-inflight-bound"))
+  EXPECT_TRUE(has_rule(findings, "verify-memory-cert"))
       << analysis::render(findings);
   // One report per device, not one per excess pass.
   EXPECT_EQ(analysis::count(findings, Severity::Error),
@@ -199,7 +206,7 @@ TEST(ScheduleCheck, DeclaredBoundIsTightForOneF1b) {
   options.max_inflight_units = plan.max_inflight_units - 1.0;
   EXPECT_TRUE(has_rule(
       analysis::check_schedule(plan.spec, plan.programs, options),
-      "sched-inflight-bound"));
+      "verify-memory-cert"));
 }
 
 TEST(ScheduleCheck, OutOfRangeChunkFiresPassRange) {
@@ -207,7 +214,7 @@ TEST(ScheduleCheck, OutOfRangeChunkFiresPassRange) {
       core::plan_scheme(core::Scheme::OneF1B, base_spec(2, 1, 4));
   plan.programs[0][0].chunk = 5;  // v == 1: only chunk 0 exists
   const auto findings = lint_schedule(plan);
-  EXPECT_TRUE(has_rule(findings, "sched-pass-range"))
+  EXPECT_TRUE(has_rule(findings, "ir-structure"))
       << analysis::render(findings);
 }
 
@@ -219,15 +226,15 @@ TEST(ScheduleCheck, InvalidSpecFiresSpecRule) {
 }
 
 TEST(ScheduleCheck, BrokenLayoutFiresRoundtrip) {
-  // Sequential layout with v = 2 maps stages >= p outside the device range:
-  // the round-trip rule localizes the inconsistency (alongside sched-spec).
+  // Sequential layout with v = 2 maps stages >= p outside the device range.
+  // The spec is rejected as a whole: nothing is lowered, so the single
+  // sched-spec finding is the whole report.
   sched::PipelineSpec spec = base_spec(2, 1, 4);
   spec.v = 2;
   spec.layout = sched::StageLayoutKind::Sequential;
   const auto findings = analysis::check_schedule(spec, {{}, {}});
-  EXPECT_TRUE(has_rule(findings, "sched-layout-roundtrip"))
-      << analysis::render(findings);
-  EXPECT_TRUE(has_rule(findings, "sched-spec"));
+  ASSERT_EQ(findings.size(), 1u) << analysis::render(findings);
+  EXPECT_EQ(findings[0].rule_id, "sched-spec");
 }
 
 TEST(ScheduleCheck, WrongProgramCountReported) {
@@ -236,36 +243,14 @@ TEST(ScheduleCheck, WrongProgramCountReported) {
   std::vector<sched::DeviceProgram> short_programs(plan.programs.begin(),
                                                    plan.programs.end() - 1);
   const auto findings = analysis::check_schedule(plan.spec, short_programs);
-  EXPECT_TRUE(analysis::has_errors(findings));
+  EXPECT_TRUE(has_rule(findings, "ir-structure"))
+      << analysis::render(findings);
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2 fixtures: hand-built graphs and mutated compile output.
-
-TEST(GraphCheck, UnmatchedSendReported) {
-  sim::OpGraph graph(sim::make_cluster(2));
-  const auto f0 = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
-  graph.add_transfer(0, 1, 1e6, sim::OpClass::Send, {f0});  // never consumed
-  const auto findings = analysis::check_graph(graph);
-  EXPECT_TRUE(has_rule(findings, "graph-unmatched-send"))
-      << analysis::render(findings);
-}
-
-TEST(GraphCheck, OutOfFifoReceiveReported) {
-  sim::OpGraph graph(sim::make_cluster(2));
-  const auto f0 = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
-  const auto f1 = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
-  const auto t0 = graph.add_transfer(0, 1, 1e6, sim::OpClass::Send, {f0});
-  const auto t1 = graph.add_transfer(0, 1, 1e6, sim::OpClass::Send, {f1});
-  // The receiver consumes the second posted transfer first: a rendezvous
-  // transport would deadlock here.
-  graph.add_compute(1, 1.0, sim::OpClass::Forward, {t1});
-  graph.add_compute(1, 1.0, sim::OpClass::Forward, {t0});
-  const auto findings = analysis::check_graph(graph);
-  EXPECT_TRUE(has_rule(findings, "graph-channel-fifo"))
-      << analysis::render(findings);
-  EXPECT_TRUE(analysis::has_errors(findings));
-}
+// Graph lint fixtures: hand-built graphs and mutated compile output.
+// Transfer pairing and FIFO order are certified on the IR before the build
+// (test_ir, VerifyCausality); the graph lint no longer looks at channels.
 
 TEST(GraphCheck, FifoReceiveIsClean) {
   sim::OpGraph graph(sim::make_cluster(2));
@@ -280,19 +265,24 @@ TEST(GraphCheck, FifoReceiveIsClean) {
 }
 
 TEST(GraphCheck, DependencyCycleReportsPath) {
+  // A cycle in a built graph is the simulator's to report: sim::execute
+  // throws a schedule-deadlock error naming the blocked ops. (Schedules
+  // reach the build only after verify-deadlock certified their wait-for
+  // graph acyclic.)
   sim::OpGraph graph(sim::make_cluster(2));
   const auto a = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
   const auto b = graph.add_compute(1, 1.0, sim::OpClass::Forward, {a});
   graph.op(a).deps.push_back(b);  // a -> b -> a
-  const auto findings = analysis::check_graph(graph);
-  ASSERT_TRUE(has_rule(findings, "graph-acyclic"))
-      << analysis::render(findings);
-  for (const Finding& finding : findings) {
-    if (finding.rule_id == "graph-acyclic") {
-      EXPECT_NE(finding.message.find("cycle:"), std::string::npos);
-      EXPECT_NE(finding.message.find("op 0"), std::string::npos);
-      EXPECT_NE(finding.message.find("op 1"), std::string::npos);
-    }
+  EXPECT_TRUE(analysis::check_graph(graph).empty());
+  try {
+    sim::execute(graph);
+    FAIL() << "sim::execute ran a cyclic graph";
+  } catch (const std::logic_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("schedule deadlock"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("op 0"), std::string::npos) << message;
+    EXPECT_NE(message.find("op 1"), std::string::npos) << message;
   }
 }
 
@@ -321,13 +311,13 @@ TEST(GraphCheck, UnbackedFreeFiresNegative) {
   const core::SchedulePlan plan =
       core::plan_scheme(core::Scheme::OneF1B, base_spec(2, 1, 4));
   const auto built = compile_unlinted(plan);
-  // A free with no preceding allocation must drive the replayed balance
-  // negative no matter the replay order.
+  // A free with no matching allocation leaves the iteration's ledger
+  // negative. (Frees ordered before their allocation are a schedule-level
+  // fault: verify-memory-cert flags the dip before the build.)
   built.graph->add_mem(0, {0, mem::kKvCache, -4096.0, false});
   const auto findings = analysis::check_graph(*built.graph, plan.spec);
-  EXPECT_TRUE(has_rule(findings, "graph-mem-negative"))
+  EXPECT_TRUE(has_rule(findings, "graph-mem-balance"))
       << analysis::render(findings);
-  EXPECT_TRUE(has_rule(findings, "graph-mem-balance"));
 }
 
 TEST(GraphCheck, VocabFlagMismatchReported) {
@@ -418,7 +408,7 @@ TEST(CompileInflightBound, CompileRejectsScheduleOverDeclaredCap) {
     sched::compile(plan.spec, plan.programs, nullptr);
     FAIL() << "compile accepted a schedule over its declared in-flight cap";
   } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("sched-inflight-bound"),
+    EXPECT_NE(std::string(e.what()).find("verify-memory-cert"),
               std::string::npos)
         << e.what();
   }
@@ -431,18 +421,18 @@ TEST(Findings, RenderSummaryAndQueries) {
   std::vector<Finding> findings;
   EXPECT_EQ(analysis::summary(findings), "clean");
   EXPECT_FALSE(analysis::has_errors(findings));
-  findings.push_back({Severity::Warning, "graph-channel-fifo", "op 3",
-                      "posting order inverted"});
-  findings.push_back({Severity::Error, "sched-backward-order", "dev 0 pass 2",
+  findings.push_back({Severity::Warning, "graph-resource-order", "op 3",
+                      "program out of insertion order"});
+  findings.push_back({Severity::Error, "verify-deadlock", "dev 0 row 2",
                       "backward before forward"});
   EXPECT_TRUE(analysis::has_errors(findings));
   EXPECT_EQ(analysis::count(findings, Severity::Error), 1u);
   EXPECT_EQ(analysis::count(findings, Severity::Warning), 1u);
-  EXPECT_TRUE(has_rule(findings, "sched-backward-order"));
-  EXPECT_FALSE(has_rule(findings, "sched-inflight-bound"));
+  EXPECT_TRUE(has_rule(findings, "verify-deadlock"));
+  EXPECT_FALSE(has_rule(findings, "verify-memory-cert"));
   const std::string table = analysis::render(findings);
-  EXPECT_NE(table.find("sched-backward-order"), std::string::npos);
-  EXPECT_NE(table.find("dev 0 pass 2"), std::string::npos);
+  EXPECT_NE(table.find("verify-deadlock"), std::string::npos);
+  EXPECT_NE(table.find("dev 0 row 2"), std::string::npos);
   EXPECT_EQ(analysis::summary(findings), "2 findings (1 errors, 1 warnings)");
 }
 

@@ -213,15 +213,20 @@ TEST(IrGolden, GoldenFileRoundTripsAndMatchesLowering) {
 
 TEST(VerifyDeadlock, ReorderedBackwardYieldsWitnessCycle) {
   core::SchedulePlan plan = onef1b_plan(2, 2);
-  // Device 0 demands B0 before it has forwarded anything: its B0 waits on
-  // device 1's backward, which waits on device 1's forward, which waits on
-  // device 0's F0 — stuck behind B0. A genuine 4-row cycle.
-  sched::DeviceProgram& program = plan.programs[0];
-  ASSERT_EQ(program.size(), 4u);
-  ASSERT_EQ(program[2].type, PassType::Backward);
-  const Pass backward = program[2];
-  program.erase(program.begin() + 2);
-  program.insert(program.begin(), backward);
+  // Every device keeps each unit's F before its B, but the two devices
+  // disagree on the microbatch order. Device 0 runs F0 B0 F1 B1: its B0
+  // waits on device 1's B0, which device 1 (F1 B1 F0 B0) runs after F0,
+  // which it runs after B1, which waits on F1 — and device 0 only sends
+  // F1 after B0. A genuine 6-row cycle across both devices.
+  sched::DeviceProgram& first = plan.programs[0];
+  ASSERT_EQ(first.size(), 4u);
+  ASSERT_EQ(first[1].type, PassType::Forward);
+  ASSERT_EQ(first[2].type, PassType::Backward);
+  std::swap(first[1], first[2]);  // F0 F1 B0 B1 -> F0 B0 F1 B1
+  sched::DeviceProgram& last = plan.programs[1];
+  ASSERT_EQ(last.size(), 4u);
+  std::swap(last[0], last[2]);  // F0 B0 F1 B1 -> F1 B0 F0 B1
+  std::swap(last[1], last[3]);  //             -> F1 B1 F0 B0
 
   const analysis::VerifyResult verdict = analysis::verify_ir(
       lower_plan(plan, core::Scheme::OneF1B), plan.spec);
@@ -231,7 +236,7 @@ TEST(VerifyDeadlock, ReorderedBackwardYieldsWitnessCycle) {
     if (finding.rule_id != "verify-deadlock") continue;
     EXPECT_NE(finding.message.find("witness cycle"), std::string::npos)
         << finding.message;
-    EXPECT_NE(finding.message.find("length 4"), std::string::npos)
+    EXPECT_NE(finding.message.find("length 6"), std::string::npos)
         << finding.message;
   }
 }
@@ -258,6 +263,55 @@ TEST(VerifyCausality, DroppedSendLeavesDanglingRecv) {
   EXPECT_TRUE(dangling) << analysis::render(verdict.findings);
   EXPECT_FALSE(has_rule(verdict.findings, "verify-progress"));
   EXPECT_FALSE(has_rule(verdict.findings, "verify-deadlock"));
+}
+
+TEST(VerifyCausality, UnmatchedSendReported) {
+  // Device 1 stops declaring the receive of microbatch 0's activation:
+  // device 0's send is never consumed.
+  const core::SchedulePlan plan = onef1b_plan(2, 2);
+  ScheduleIR table = lower_plan(plan, core::Scheme::OneF1B);
+  const auto it = std::find_if(
+      table.rows.begin(), table.rows.end(), [](const Row& row) {
+        return row.device == 1 && row.kind == PassType::Forward &&
+               row.microbatch == 0;
+      });
+  ASSERT_NE(it, table.rows.end());
+  it->recv_from = kNoEndpoint;
+
+  const analysis::VerifyResult verdict = analysis::verify_ir(table, plan.spec);
+  ASSERT_TRUE(has_rule(verdict.findings, "verify-causality"))
+      << analysis::render(verdict.findings);
+  bool unconsumed = false;
+  for (const analysis::Finding& finding : verdict.findings) {
+    unconsumed = unconsumed || finding.message.find("is never received") !=
+                                   std::string::npos;
+  }
+  EXPECT_TRUE(unconsumed) << analysis::render(verdict.findings);
+}
+
+TEST(VerifyCausality, OutOfFifoReceiveReported) {
+  // Device 0 posts activations for microbatches 0, 1, 2, 3 in that order;
+  // the last stage consumes microbatch 1 first. Each unit still runs F
+  // before B, so the table is deadlock-free — but a rendezvous or ordered
+  // transport would deliver microbatch 0's payload to microbatch 1's recv.
+  core::SchedulePlan plan = onef1b_plan(2, 4);
+  sched::DeviceProgram& last = plan.programs[1];
+  ASSERT_EQ(last[0].type, PassType::Forward);
+  ASSERT_EQ(last[2].type, PassType::Forward);
+  std::swap(last[0], last[2]);  // F0 B0 F1 B1 ... -> F1 B0 F0 B1 ...
+  std::swap(last[1], last[3]);  //                -> F1 B1 F0 B0 F2 B2 F3 B3
+
+  const analysis::VerifyResult verdict = analysis::verify_ir(
+      lower_plan(plan, core::Scheme::OneF1B), plan.spec);
+  ASSERT_TRUE(has_rule(verdict.findings, "verify-causality"))
+      << analysis::render(verdict.findings);
+  bool fifo = false;
+  for (const analysis::Finding& finding : verdict.findings) {
+    fifo = fifo || finding.message.find("out-of-FIFO") != std::string::npos;
+  }
+  EXPECT_TRUE(fifo) << analysis::render(verdict.findings);
+  EXPECT_FALSE(has_rule(verdict.findings, "verify-deadlock"))
+      << analysis::render(verdict.findings);
 }
 
 TEST(VerifyProgress, RemovedForwardOrphansBackward) {

@@ -109,6 +109,43 @@ TEST(ClockAlignerTest, NegativeRttRejected) {
   EXPECT_EQ(aligner.to_local(42.0), 42.0);
 }
 
+TEST(ClockAlignerTest, RemoteEpochPreservesSpanDurations) {
+  // A worker forked at run time 10.0 starts its clock at 10.001. Its only
+  // ping/pong sample is badly asymmetric (a 200 ms ping under load, a fast
+  // pong), so the estimate puts the worker's epoch ~100 ms *before* the
+  // fork — inside the rtt/2 error bound, but impossible.
+  const double fork = 10.0;
+  const double true_epoch = 10.001;
+  ClockAligner aligner;
+  aligner.add(round_trip(10.5, -true_epoch, /*d_out=*/0.2, /*d_back=*/1e-4));
+  ASSERT_TRUE(aligner.aligned());
+  ASSERT_GT(aligner.uncertainty(), 0.09);
+  ASSERT_LT(-aligner.offset(), fork);
+
+  // The epoch is raised to the fork bound as a whole, so the worker's
+  // early 4 ms span keeps its duration (a per-timestamp clamp would map
+  // both ends to 10.0 and erase it) and later spans keep their spacing.
+  const double epoch = aligner.remote_epoch(fork);
+  EXPECT_EQ(epoch, fork);
+  const double spans[][2] = {{0.002, 0.006}, {0.050, 0.054}, {1.0, 1.25}};
+  double previous_end = fork;
+  for (const auto& span : spans) {
+    const double start = epoch + span[0];
+    const double end = epoch + span[1];
+    EXPECT_GE(start, fork);
+    EXPECT_GE(start, previous_end);
+    EXPECT_NEAR(end - start, span[1] - span[0], 1e-12);
+    previous_end = end;
+  }
+
+  // An estimate after the fork is used as is; unaligned falls back to the
+  // bound.
+  ClockAligner tight;
+  tight.add(round_trip(10.5, -true_epoch, 1e-4, 1e-4));
+  EXPECT_NEAR(tight.remote_epoch(fork), true_epoch, 1e-12);
+  EXPECT_EQ(ClockAligner().remote_epoch(fork), fork);
+}
+
 // ---------------------------------------------------------------------------
 // Flight recorder: ring semantics, flush suffixes, wraparound accounting.
 

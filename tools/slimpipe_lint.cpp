@@ -1,12 +1,12 @@
 // slimpipe_lint — static analysis front-end.
 //
 // Lints a scheme/spec combination without running the simulator: generates
-// the scheme's per-device programs, runs the schedule pass (per-pass
-// invariants plus the scheme's declared in-flight activation bound), lowers
-// to the tabular IR and runs the whole-schedule verification engine
-// (causality, deadlock, progress, memory certificate), then builds the op
-// graph and runs the graph pass (acyclicity, channel FIFO matching,
-// memory-ledger conservation). Any Error finding fails the run.
+// the scheme's per-device programs and runs the static gate on them
+// (check_schedule: lower to the tabular IR, then causality, deadlock,
+// progress and the memory certificate with the scheme's declared in-flight
+// cap), then builds the op graph and runs the graph lint (op-table
+// consistency, memory-ledger conservation, vocabulary ops). Any Error
+// finding fails the run.
 //
 //   slimpipe_lint --scheme slimpipe --model 13b --p 4 --n 8 --m 8
 //   slimpipe_lint --scheme all --p 8
@@ -111,9 +111,10 @@ std::vector<core::Scheme> pick_schemes(const std::string& name) {
   std::exit(2);
 }
 
-/// Runs both passes over one scheme/spec combination and returns the
-/// combined findings. Exceptions from plan generation or graph building
-/// (SLIM_CHECK failures) surface as a synthetic `internal-error` finding.
+/// Runs the gate and the graph lint over one scheme/spec combination and
+/// returns the combined findings. Exceptions from plan generation or graph
+/// building (SLIM_CHECK failures) surface as a synthetic `internal-error`
+/// finding.
 std::vector<analysis::Finding> lint_combo(core::Scheme scheme,
                                           sched::PipelineSpec spec) {
   std::vector<analysis::Finding> findings;
@@ -123,14 +124,7 @@ std::vector<analysis::Finding> lint_combo(core::Scheme scheme,
     analysis::ScheduleLintOptions sched_opts;
     sched_opts.max_inflight_units = plan.max_inflight_units;
     findings = analysis::check_schedule(plan.spec, plan.programs, sched_opts);
-
-    const ir::ScheduleIR table =
-        ir::lower(plan.spec, plan.programs, core::scheme_name(scheme));
-    const analysis::VerifyResult verdict =
-        analysis::verify_ir(table, plan.spec);
-    findings.insert(findings.end(), verdict.findings.begin(),
-                    verdict.findings.end());
-    // A schedule the pre-build passes reject cannot be compiled meaningfully.
+    // A schedule the gate rejects cannot be compiled meaningfully.
     if (analysis::has_errors(findings)) return findings;
 
     // Build the graph ourselves (lint disabled) so rule violations come
@@ -176,8 +170,8 @@ bool is_verifier_finding(const analysis::Finding& finding) {
 }
 
 /// Certifies an external IR schedule file: import, overlay the header onto
-/// the workload spec, run the schedule lint and the verification engine.
-/// Returns the exit status (0/1/3).
+/// the workload spec and run the verification engine (the header's
+/// in-flight cap included). Returns the exit status (0/1/3).
 int lint_ir_file(const std::string& path, const sched::PipelineSpec& base,
                  bool verbose) {
   std::ifstream in(path);
@@ -199,13 +193,8 @@ int lint_ir_file(const std::string& path, const sched::PipelineSpec& base,
       return 3;
     }
 
-    analysis::ScheduleLintOptions sched_opts;
-    sched_opts.max_inflight_units = spec.max_inflight_units;
-    findings =
-        analysis::check_schedule(spec, ir::to_programs(table), sched_opts);
     const analysis::VerifyResult verdict = analysis::verify_ir(table, spec);
-    findings.insert(findings.end(), verdict.findings.begin(),
-                    verdict.findings.end());
+    findings = verdict.findings;
     if (findings.empty()) {
       std::printf("%s: %s certified clean (%zu rows)\n", path.c_str(),
                   table.scheme.c_str(), table.rows.size());
