@@ -9,17 +9,29 @@
 // every span over the control socket and is priced as a debugging mode, not
 // an always-on tax.
 //
-// Method: K adjacent ON/OFF pairs (warm-up discarded, order alternating),
-// overhead = median of the per-pair on/off ratios, minus 1, clamped at 0.
-// Adjacent runs share the machine's noise regime, so each ratio is an
-// apples-to-apples sample even on a busy single-core box; the median then
-// discards the pairs a scheduler spike still split. A best-of estimator is
-// NOT robust here: one lucky OFF sample anywhere poisons the whole gate.
+// Method: adjacent ON/OFF pairs (warm-up discarded, order alternating)
+// and, interleaved with them, OFF/OFF pairs. Overhead is the median of the
+// per-pair on/off ratios, minus 1 (not clamped: a negative reading is noise
+// and is printed as such). Adjacent runs share the machine's noise regime,
+// so each ratio is an apples-to-apples sample even on a busy box; the
+// median discards the pairs a scheduler spike split. The OFF/OFF pairs
+// measure how far that median moves when there is no effect at all: the
+// noise floor is the box-plot notch half-width of their ratios,
+// 1.58 * IQR / sqrt(K). Pairs are added until that floor is under
+// kTargetFloor, so the gate can tell the 3% budget from a 5% overhead. The
+// gate fails when the median overhead is above both the budget and the
+// noise floor. A best-of estimator is NOT robust here: one lucky OFF
+// sample anywhere poisons the whole gate.
+//
+// Negative control: the same pairs with every ON sample slowed by a known
+// 5% must FAIL the gate; a gate that passes it is blind at this noise
+// level, and the bench exits non-zero.
 
 #include "bench_common.hpp"
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -35,6 +47,12 @@ using namespace slim;
 namespace {
 
 constexpr double kBudget = 0.03;  // 3% of step time
+// The gated row samples pairs until the OFF/OFF noise floor is this low
+// (or the shape's max_pairs is reached): a floor well under the budget is
+// what lets the gate tell a 3% overhead from a 5% one. The stopping rule
+// reads only the OFF/OFF pairs, never the arm being gated.
+constexpr double kTargetFloor = 0.0125;
+constexpr int kGateBlock = 32;  // pairs sampled between floor checks
 
 bool smoke_mode() {
   const char* env = std::getenv("SLIMPIPE_BENCH_SMOKE");
@@ -49,14 +67,15 @@ struct Shape {
   int microbatches;
   int n_slices;
   int seq;
-  int pairs;  // interleaved ON/OFF repetitions
+  int pairs;      // ON/OFF pairs of each informational row
+  int max_pairs;  // cap on the gated row's pairs (see kTargetFloor)
 };
 
 Shape bench_shape() {
   if (smoke_mode()) {
-    return {{32, 4, 2, 48}, 32, 4, 2, 2, 2, 24, 9};
+    return {{32, 4, 2, 48}, 32, 4, 2, 2, 2, 24, 9, 2048};
   }
-  return {{64, 8, 2, 96}, 64, 8, 2, 4, 2, 48, 11};
+  return {{64, 8, 2, 96}, 64, 8, 2, 4, 2, 48, 11, 512};
 }
 
 struct Data {
@@ -120,6 +139,15 @@ double time_threaded(rt::ThreadedPipeline& pipe, const Shape& shape,
       .count();
 }
 
+double quantile(std::vector<double> xs, double q) {
+  if (xs.empty()) return 0.0;
+  std::sort(xs.begin(), xs.end());
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+}
+
 struct OverheadRow {
   std::vector<double> ratios;  // per-pair on/off
   double best_off = 1e300;
@@ -131,17 +159,36 @@ struct OverheadRow {
     if (off > 0.0) ratios.push_back(on / off);
   }
 
-  double overhead() const {
+  double overhead() const { return quantile(ratios, 0.5) - 1.0; }
+
+  /// Half-width of the median's notch: how far the median of these ratios
+  /// moves by noise alone (meaningful for OFF/OFF ratios).
+  double notch() const {
     if (ratios.empty()) return 0.0;
-    std::vector<double> sorted = ratios;
-    std::sort(sorted.begin(), sorted.end());
-    const std::size_t n = sorted.size();
-    const double median = n % 2 == 1
-                              ? sorted[n / 2]
-                              : (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0;
-    return std::max(0.0, median - 1.0);
+    const double iqr = quantile(ratios, 0.75) - quantile(ratios, 0.25);
+    return 1.58 * iqr / std::sqrt(static_cast<double>(ratios.size()));
+  }
+
+  /// "min / median / max" of the pair ratios, as percent over 1.
+  std::string spread() const {
+    auto pct = [](double r) { return fmt((r - 1.0) * 100.0, 2) + "%"; };
+    return pct(quantile(ratios, 0.0)) + " / " + pct(quantile(ratios, 0.5)) +
+           " / " + pct(quantile(ratios, 1.0));
+  }
+
+  /// The same pairs with every ON sample multiplied by `factor`.
+  OverheadRow slowed(double factor) const {
+    OverheadRow out = *this;
+    out.best_on *= factor;
+    for (double& r : out.ratios) r *= factor;
+    return out;
   }
 };
+
+/// Gate verdict: over budget AND distinguishable from OFF/OFF noise.
+bool over_budget(const OverheadRow& row, double noise_floor) {
+  return row.overhead() > kBudget && row.overhead() > noise_floor;
+}
 
 /// One adjacent pair, order alternating with `i` so a monotone load trend
 /// penalizes ON and OFF equally often.
@@ -180,8 +227,10 @@ int main(int argc, char** argv) {
           "p=" + std::to_string(shape.stages) +
           ", m=" + std::to_string(shape.microbatches) +
           ", n=" + std::to_string(shape.n_slices) +
-          ", interleaved ON/OFF pairs=" + std::to_string(shape.pairs) +
-          ", best-of timing",
+          ", gated ON/OFF + OFF/OFF pairs until the noise floor <= " +
+          fmt(kTargetFloor * 100.0, 2) + "% (max " +
+          std::to_string(shape.max_pairs) + "), " +
+          std::to_string(shape.pairs) + " pairs per opt-in row",
       "breadcrumb recording is O(1) ring writes and flushes piggyback on "
       "heartbeats, so observed step-time overhead stays under the 3% budget "
       "on both substrates");
@@ -198,43 +247,82 @@ int main(int argc, char** argv) {
   time_dist(dist_pipe, shape, data, DistMode::Off);
   time_threaded(threaded_pipe, shape, data, false);
 
-  OverheadRow flight_row, full_row, trace_row;
+  // The gated row and its OFF/OFF null, interleaved. Each row runs apart
+  // from the others: a run that follows a different kind of run (the
+  // threaded pipeline's kernel threads, the opt-in file writers) is slowed
+  // by it, and alternating ON/OFF order would turn that into two modes of
+  // pair ratios with the median wandering between them.
+  OverheadRow flight_row, noise_row, full_row, trace_row;
+  int gate_pairs = 0;
+  while (gate_pairs < shape.max_pairs &&
+         (gate_pairs == 0 || noise_row.notch() > kTargetFloor)) {
+    for (int b = 0; b < kGateBlock; ++b, ++gate_pairs) {
+      sample_pair(
+          flight_row, gate_pairs,
+          [&] { return time_dist(dist_pipe, shape, data, DistMode::Flight); },
+          [&] { return time_dist(dist_pipe, shape, data, DistMode::Off); });
+      sample_pair(
+          noise_row, gate_pairs,
+          [&] { return time_dist(dist_pipe, shape, data, DistMode::Off); },
+          [&] { return time_dist(dist_pipe, shape, data, DistMode::Off); });
+    }
+  }
   for (int i = 0; i < shape.pairs; ++i) {
-    sample_pair(
-        flight_row, i,
-        [&] { return time_dist(dist_pipe, shape, data, DistMode::Flight); },
-        [&] { return time_dist(dist_pipe, shape, data, DistMode::Off); });
     sample_pair(
         full_row, i,
         [&] { return time_dist(dist_pipe, shape, data, DistMode::Full); },
         [&] { return time_dist(dist_pipe, shape, data, DistMode::Off); });
+  }
+  time_threaded(threaded_pipe, shape, data, false);  // warm-up, discarded
+  for (int i = 0; i < shape.pairs; ++i) {
     sample_pair(
         trace_row, i,
         [&] { return time_threaded(threaded_pipe, shape, data, true); },
         [&] { return time_threaded(threaded_pipe, shape, data, false); });
   }
 
-  Table table({"configuration", "off (best)", "on (best)", "overhead",
+  const double floor = noise_row.notch();
+  constexpr double kControlSlowdown = 1.05;
+  const OverheadRow control_row = flight_row.slowed(kControlSlowdown);
+  const bool ok = !over_budget(flight_row, floor);
+  const bool control_caught = over_budget(control_row, floor);
+
+  Table table({"configuration", "off (best)", "on (best)",
+               "pair ratio min / median / max", "overhead", "noise floor",
                "budget", "verdict"});
-  const bool ok = flight_row.overhead() < kBudget;
-  table.add_row({"dist: flight recorder (always-on, gated)",
-                 format_time(flight_row.best_off),
-                 format_time(flight_row.best_on),
-                 fmt(flight_row.overhead() * 100.0, 2) + "%",
-                 fmt(kBudget * 100.0, 1) + "%", ok ? "pass" : "FAIL"});
-  table.add_row({"dist: + trace + live publishing (opt-in)",
-                 format_time(full_row.best_off), format_time(full_row.best_on),
-                 fmt(full_row.overhead() * 100.0, 2) + "%", "--", "info"});
-  table.add_row({"threaded: trace recorder (opt-in)",
-                 format_time(trace_row.best_off),
-                 format_time(trace_row.best_on),
-                 fmt(trace_row.overhead() * 100.0, 2) + "%", "--", "info"});
+  // The noise floor belongs to the gated row, its null and the control;
+  // the opt-in rows are informational.
+  auto add_row = [&](const std::string& name, const OverheadRow& row,
+                     bool with_floor, const std::string& budget,
+                     const std::string& verdict) {
+    table.add_row({name, format_time(row.best_off), format_time(row.best_on),
+                   row.spread(), fmt(row.overhead() * 100.0, 2) + "%",
+                   with_floor ? fmt(floor * 100.0, 2) + "%" : "--", budget,
+                   verdict});
+  };
+  const std::string budget = fmt(kBudget * 100.0, 1) + "%";
+  add_row("dist: flight recorder (always-on, gated; " +
+              std::to_string(gate_pairs) + " pairs)",
+          flight_row, true, budget, ok ? "pass" : "FAIL");
+  add_row("dist: OFF/OFF (noise)", noise_row, true, "--", "info");
+  add_row("control: always-on slowed by 5% (must FAIL)", control_row, true,
+          budget, control_caught ? "FAIL (expected)" : "pass (gate blind)");
+  add_row("dist: + trace + live publishing (opt-in)", full_row, false, "--",
+          "info");
+  add_row("threaded: trace recorder (opt-in)", trace_row, false, "--",
+          "info");
   slimbench::print_table("observability overhead", table);
   if (!ok) {
     std::fprintf(stderr,
                  "FATAL: always-on observability overhead exceeds the %.0f%% "
                  "budget\n",
                  kBudget * 100.0);
+    return 1;
+  }
+  if (!control_caught) {
+    std::fprintf(stderr,
+                 "FATAL: negative control passed — the gate cannot resolve a "
+                 "5%% overhead at this noise level\n");
     return 1;
   }
 

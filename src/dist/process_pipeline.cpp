@@ -11,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -35,6 +36,7 @@ struct WorkerHandle {
   int stage = -1;
   pid_t pid = -1;
   Fd control;  // parent end of the control socketpair
+  Fd exit_fd;  // pidfd: readable once the worker exits (-1 if unsupported)
   WireStatus status;
   Clock::time_point last_heard;
   Clock::time_point last_ping;
@@ -52,11 +54,22 @@ struct WorkerHandle {
   bool signaled = false;
   int exit_code = 0;
   int term_signal = 0;
-  int commits = 0;  // Commit frames received this attempt
   bool have_done = false;
   WireStageDone done_info;
   std::string error_detail;
 };
+
+/// A pidfd for `pid`, readable once the process exits; -1 where the kernel
+/// or the headers lack pidfd_open (the supervision loop then wakes on its
+/// poll tick instead).
+int open_exit_fd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+  (void)pid;
+  return -1;
+#endif
+}
 
 /// Kills and reaps whatever is still alive when an attempt unwinds — no
 /// exit path may leak a worker process.
@@ -357,6 +370,28 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       cfg.flight = options.flight;
       cfg.flight_capacity = options.flight_capacity;
       cfg.faults = resolve_faults(plan, s, inject);
+      if (kill_armed && kill.stage == s) {
+        if (kill.phase == KillSpec::Phase::MidCommit) {
+          cfg.kill_after_commit = 1;
+          --kills_left;
+        } else if (kill.phase == KillSpec::Phase::PostCommit) {
+          cfg.kill_after_commit = mk;
+          --kills_left;
+        }
+      }
+
+      // The first clock-alignment Ping is written before the worker exists:
+      // it waits in the socket, and the worker answers it at the latest
+      // just before Done, so every worker yields at least one clock sample.
+      {
+        Frame ping;
+        ping.kind = FrameKind::Ping;
+        ping.stage = s;
+        Writer writer;
+        writer.f64(run_now());
+        ping.payload = writer.take();
+        send_frame(controls[static_cast<std::size_t>(s)].a.get(), ping);
+      }
 
       // fork() while holding the kernel pool's lock: the child inherits
       // the pool in a known state, reinitializes it, runs the stage
@@ -383,10 +418,9 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         }
       });
       w.pid = pid;
+      w.exit_fd = Fd(open_exit_fd(pid));
       w.last_heard = Clock::now();
-      // Backdated so the first supervision-loop pass pings immediately —
-      // clock alignment is useful from the first heartbeat on.
-      w.last_ping = Clock::now() - options.ping_interval;
+      w.last_ping = Clock::now();
       w.control = std::move(controls[static_cast<std::size_t>(s)].a);
       if (rec != nullptr) {
         rec->set_track_pid(s, static_cast<std::int64_t>(pid));
@@ -491,16 +525,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           case FrameKind::Commit: {
             Reader r(frame.payload);
             ledger.slot(w.stage, frame.mb) = read_commit(r);
-            ++w.commits;
-            if (kills_left > 0 && kill.stage == w.stage && !w.exited) {
-              if ((kill.phase == KillSpec::Phase::MidCommit &&
-                   w.commits == 1) ||
-                  (kill.phase == KillSpec::Phase::PostCommit &&
-                   w.commits == mk)) {
-                ::kill(w.pid, SIGKILL);
-                --kills_left;
-              }
-            }
             break;
           }
           case FrameKind::Event:
@@ -620,9 +644,12 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       if (all_exited) break;
       if (outcome.failed && Clock::now() >= drain_until) break;
 
+      // Wake on control traffic and on worker exit (pidfd), so the reap
+      // below runs as soon as the last worker is gone, not a tick later.
       std::vector<int> fds;
       for (const WorkerHandle& w : workers) {
         fds.push_back(w.control_eof ? -1 : w.control.get());
+        fds.push_back(w.exited ? -1 : w.exit_fd.get());
       }
       poll_readable_many(fds, 10);
       for (WorkerHandle& w : workers) read_worker(w);

@@ -38,16 +38,19 @@
 
 namespace slim::dist {
 
-/// Supervisor-side SIGKILL test hook: kills the worker of `stage` with a
-/// real SIGKILL at a chosen protocol phase. The crash-torture tests sweep
-/// this over every (stage, phase) pair.
+/// SIGKILL test hook: kills the worker of `stage` with a real SIGKILL at a
+/// chosen protocol phase. The crash-torture tests sweep this over every
+/// (stage, phase) pair.
 struct KillSpec {
   int stage = -1;  // -1: disabled
   enum class Phase {
     None,
-    PreForward,  // immediately after fork, before any forward completes
-    MidCommit,   // on the stage's first Commit frame
-    PostCommit,  // on the stage's last Commit frame (all work retired)
+    PreForward,  // the supervisor kills it right after fork, before any
+                 // forward completes
+    // The worker raises SIGKILL on itself right after sending the Commit
+    // frame, so the kill lands exactly at the commit point:
+    MidCommit,   // after the stage's first Commit frame
+    PostCommit,  // after the stage's last Commit frame (all work retired)
   };
   Phase phase = Phase::None;
   /// Re-kill the respawned worker on every attempt — drives the respawn

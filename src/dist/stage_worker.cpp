@@ -671,6 +671,12 @@ int run_stage_worker_impl(const WorkerConfig& cfg, WorkerContext& ctx) {
           write_commit(writer, mb_staged);
           commit.payload = writer.take();
           ctx.send_control(commit);
+          if (ctx.status.committed == cfg.kill_after_commit) {
+            // The kill lands at the commit point by construction: this
+            // Commit frame and the flush before it are already in the
+            // supervisor's socket buffer, and the stage does nothing more.
+            ::raise(SIGKILL);
+          }
           ctx.instant("commit mb" + std::to_string(msg.mb), obs::kCatCommit);
         }
         if (is_last && msg.slice > 0) {
@@ -709,6 +715,9 @@ int run_stage_worker_impl(const WorkerConfig& cfg, WorkerContext& ctx) {
   }
 
   // All work retired: final status + metrics + trace in one Done frame.
+  // Answer pending Pings first, so even a stage that finishes before its
+  // first heartbeat returns the clock sample of the Ping written at fork.
+  ctx.drain_control();
   ctx.status.state = static_cast<int>(WorkerState::Done);
   publish();
   WireStageDone done;

@@ -95,6 +95,9 @@ struct WorkerConfig {
   bool flight = true;
   int flight_capacity = 256;
   WorkerFaults faults;
+  /// Crash-torture hook (KillSpec MidCommit/PostCommit): raise(SIGKILL)
+  /// right after sending this many Commit frames; 0 = off.
+  int kill_after_commit = 0;
 };
 
 /// Runs the stage to completion. Returns the process exit code: 0 on

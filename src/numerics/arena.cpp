@@ -1,6 +1,9 @@
 #include "src/numerics/arena.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 
 #include "src/util/logging.hpp"
 
@@ -57,6 +60,10 @@ void ArenaStats::reset() {
   total_peak_.store(0, std::memory_order_relaxed);
 }
 
+void detail::Unmap::operator()(unsigned char* p) const {
+  ::munmap(p, bytes);
+}
+
 Arena::Arena(ArenaStats* stats, std::size_t block_bytes)
     : stats_(stats), block_bytes_(std::max<std::size_t>(block_bytes, kAlign)) {}
 
@@ -73,7 +80,11 @@ void* Arena::allocate(std::size_t bytes, int category) {
   if (current_ == blocks_.size()) {
     Block block;
     block.capacity = std::max(need, block_bytes_);
-    block.data = std::make_unique<unsigned char[]>(block.capacity);
+    void* mapped = ::mmap(nullptr, block.capacity, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mapped == MAP_FAILED) throw std::bad_alloc();
+    block.data = std::unique_ptr<unsigned char, detail::Unmap>(
+        static_cast<unsigned char*>(mapped), detail::Unmap{block.capacity});
     blocks_.push_back(std::move(block));
   }
   Block& block = blocks_[current_];

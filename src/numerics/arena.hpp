@@ -76,6 +76,14 @@ class ArenaStats {
   std::atomic<std::int64_t> total_peak_;
 };
 
+namespace detail {
+/// Deleter of an Arena block mapping of `bytes` bytes.
+struct Unmap {
+  std::size_t bytes = 0;
+  void operator()(unsigned char* p) const;
+};
+}  // namespace detail
+
 /// Bump allocator over chained blocks with watermark (Mark) reclamation.
 /// Pointers stay valid until the allocation's region is released — growing
 /// appends a new block, never moves old ones.
@@ -119,8 +127,12 @@ class Arena {
   static constexpr std::size_t kDefaultBlockBytes = std::size_t{1} << 20;
 
  private:
+  // Blocks are private anonymous mappings, not heap memory: the kernel
+  // commits a page on first touch and takes the whole block back on
+  // munmap, so resident memory follows the bytes actually written and a
+  // long-lived block never pins a glibc heap behind it.
   struct Block {
-    std::unique_ptr<unsigned char[]> data;
+    std::unique_ptr<unsigned char, detail::Unmap> data;
     std::size_t capacity = 0;
     std::size_t used = 0;
   };

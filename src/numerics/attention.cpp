@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "src/numerics/arena.hpp"
+#include "src/numerics/kernels.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace slim::num {
@@ -21,52 +22,77 @@ constexpr std::int64_t kQueryGrain = 8;
 util::ThreadPool& pool() { return util::ThreadPool::global(); }
 }
 
-AttnPartial attn_partial(const Tensor& q, const Tensor& k, const Tensor& v,
-                         std::int64_t q_offset, std::int64_t k_offset,
-                         float scale) {
+namespace simd {
+
+namespace {
+
+/// mᵀ as doubles, keys padded to `keys_padded` with zeros: out[c*keys_padded
+/// + j] = m(j, c). The attention dots read it one vector of keys at a time.
+void pack_transposed(const Tensor& m, std::int64_t keys_padded, double* out) {
+  for (std::int64_t c = 0; c < m.cols(); ++c) {
+    double* row = out + c * keys_padded;
+    for (std::int64_t j = 0; j < m.rows(); ++j) row[j] = m.at(j, c);
+    for (std::int64_t j = m.rows(); j < keys_padded; ++j) row[j] = 0.0;
+  }
+}
+
+}  // namespace
+
+AttnPartial attn_partial(Isa isa, const Tensor& q, const Tensor& k,
+                         const Tensor& v, std::int64_t q_offset,
+                         std::int64_t k_offset, float scale) {
   SLIM_CHECK(q.cols() == k.cols(), "q/k head-dim mismatch");
   SLIM_CHECK(k.rows() == v.rows(), "k/v length mismatch");
-  const std::int64_t s = q.rows(), kv = k.rows(), d = v.cols();
+  const std::int64_t s = q.rows(), kv = k.rows(), dk = q.cols(),
+                     d = v.cols();
   AttnPartial part;
   part.out = Tensor(s, d);
   part.m.assign(static_cast<std::size_t>(s), kNegInf);
   part.l.assign(static_cast<std::size_t>(s), 0.0f);
 
+  const Kernels& kern = kernels(isa);
+  const std::int64_t kvp = padded_keys(kv);
+  WorkspaceLease<double> kt(dk * kvp);
+  pack_transposed(k, kvp, kt.data());
+
   pool().parallel_for(0, s, kQueryGrain, [&](std::int64_t i0,
                                              std::int64_t i1) {
     // Score-row scratch from this worker's reusable workspace: every slot
-    // [0, visible) is written before it is read, so no zeroing is needed.
-    WorkspaceLease<float> scores(kv);
+    // the row reads is written first, so no zeroing is needed.
+    WorkspaceLease<float> scores(kvp);
     for (std::int64_t i = i0; i < i1; ++i) {
       const std::int64_t visible =
           std::clamp<std::int64_t>(q_offset + i - k_offset + 1, 0, kv);
       if (visible == 0) continue;
-      // Row scores and max.
+      // Row scores (double dots, vectorized across keys) and max.
+      kern.dots(q.data() + i * dk, kt.data(), kvp, dk, padded_keys(visible),
+                scale, scores.data());
       float m = kNegInf;
-      for (std::int64_t j = 0; j < visible; ++j) {
-        double dot = 0.0;
-        for (std::int64_t c = 0; c < q.cols(); ++c) {
-          dot += static_cast<double>(q.at(i, c)) * k.at(j, c);
-        }
-        const float sc = static_cast<float>(dot) * scale;
-        scores[j] = sc;
-        m = std::max(m, sc);
-      }
+      for (std::int64_t j = 0; j < visible; ++j) m = std::max(m, scores[j]);
       double l = 0.0;
       for (std::int64_t j = 0; j < visible; ++j) {
         const float w = std::exp(scores[j] - m);
         l += w;
-        for (std::int64_t c = 0; c < d; ++c) {
-          part.out.at(i, c) += w * v.at(j, c);
-        }
+        scores[j] = w;
       }
+      float* out = part.out.data() + i * d;
+      kern.accumulate(scores.data(), v.data(), d, visible, d, out);
       const float inv_l = 1.0f / static_cast<float>(l);
-      for (std::int64_t c = 0; c < d; ++c) part.out.at(i, c) *= inv_l;
+      for (std::int64_t c = 0; c < d; ++c) out[c] *= inv_l;
       part.m[static_cast<std::size_t>(i)] = m;
       part.l[static_cast<std::size_t>(i)] = static_cast<float>(l);
     }
   });
   return part;
+}
+
+}  // namespace simd
+
+AttnPartial attn_partial(const Tensor& q, const Tensor& k, const Tensor& v,
+                         std::int64_t q_offset, std::int64_t k_offset,
+                         float scale) {
+  return simd::attn_partial(simd::active_isa(), q, k, v, q_offset, k_offset,
+                            scale);
 }
 
 AttnPartial attn_merge(const AttnPartial& a, const AttnPartial& b) {
@@ -187,7 +213,10 @@ AttnPartial attn_streamed(const Tensor& q, const std::vector<KvChunk>& chunks,
   return acc;
 }
 
-void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
+namespace simd {
+
+void attn_streamed_bwd(Isa isa, const Tensor& q,
+                       const std::vector<KvChunk>& chunks,
                        std::int64_t q_offset, float scale,
                        const AttnPartial& fwd, const Tensor& dout, Tensor& dq,
                        std::vector<Tensor>& dk_chunks,
@@ -197,6 +226,7 @@ void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
              "gradient chunk buffers must match chunk count");
   const std::int64_t s = q.rows(), d = fwd.out.cols();
   dq = Tensor(q.rows(), q.cols());
+  const Kernels& kern = kernels(isa);
   // D_i = dout_i . out_i — the flash-attention rowsum shortcut that spares
   // a second pass over all chunks. Workspace-leased: every slot is written
   // by the parallel pass before any chunk loop reads it.
@@ -220,6 +250,12 @@ void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
                "chunk gradient shape mismatch");
     const std::int64_t kv = chunk.k.rows();
     const std::int64_t kc = chunk.k.cols(), vc = chunk.v.cols();
+    SLIM_CHECK(vc == d, "chunk value width must match the output's");
+    const std::int64_t kvp = padded_keys(kv);
+    WorkspaceLease<double> kt(kc * kvp);
+    WorkspaceLease<double> vt(vc * kvp);
+    pack_transposed(chunk.k, kvp, kt.data());
+    pack_transposed(chunk.v, kvp, vt.data());
     // dq rows are disjoint across query chunks; dk/dv reduce over query
     // rows, so each query chunk accumulates into its own partial slab and
     // the slabs fold in ascending chunk order below — the thread-count
@@ -236,33 +272,32 @@ void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
       float* dvp = dv_partials.data() + qc * kv * vc;
       std::memset(dkp, 0, static_cast<std::size_t>(kv * kc) * sizeof(float));
       std::memset(dvp, 0, static_cast<std::size_t>(kv * vc) * sizeof(float));
+      // Per-key probabilities p and score gradients ds of one query row.
+      WorkspaceLease<float> rows(2 * kvp);
+      float* p = rows.data();
+      float* ds = p + kvp;
       for (std::int64_t i = i0; i < i1; ++i) {
         const std::size_t si = static_cast<std::size_t>(i);
         if (fwd.l[si] == 0.0f) continue;
         const std::int64_t visible =
             std::clamp<std::int64_t>(q_offset + i - chunk.pos + 1, 0, kv);
+        if (visible == 0) continue;
         const float inv_l = 1.0f / fwd.l[si];
+        const float* q_row = q.data() + i * kc;
+        const float* dout_row = dout.data() + i * d;
+        // Scaled scores into p, dout . v into ds (double dots).
+        kern.dots(q_row, kt.data(), kvp, kc, padded_keys(visible), scale, p);
+        kern.dots(dout_row, vt.data(), kvp, d, padded_keys(visible), 1.0f,
+                  ds);
         for (std::int64_t j = 0; j < visible; ++j) {
-          double dot = 0.0;
-          for (std::int64_t c = 0; c < q.cols(); ++c) {
-            dot += static_cast<double>(q.at(i, c)) * chunk.k.at(j, c);
-          }
-          const float pj =
-              std::exp(static_cast<float>(dot) * scale - fwd.m[si]) * inv_l;
-          double dpj = 0.0;
-          for (std::int64_t c = 0; c < d; ++c) {
-            dpj += static_cast<double>(dout.at(i, c)) * chunk.v.at(j, c);
-          }
-          const float ds =
-              pj * (static_cast<float>(dpj) - D[i]) * scale;
-          for (std::int64_t c = 0; c < q.cols(); ++c) {
-            dq.at(i, c) += ds * chunk.k.at(j, c);
-            dkp[j * kc + c] += ds * q.at(i, c);
-          }
-          for (std::int64_t c = 0; c < d; ++c) {
-            dvp[j * vc + c] += pj * dout.at(i, c);
-          }
+          const float pj = std::exp(p[j] - fwd.m[si]) * inv_l;
+          p[j] = pj;
+          ds[j] = pj * (ds[j] - D[i]) * scale;
         }
+        kern.accumulate(ds, chunk.k.data(), kc, visible, kc,
+                        dq.data() + i * kc);
+        kern.rank1(ds, q_row, visible, kc, dkp, kc);
+        kern.rank1(p, dout_row, visible, d, dvp, vc);
       }
     });
     for (std::int64_t qc = 0; qc < n_qchunks; ++qc) {
@@ -272,6 +307,17 @@ void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
       for (std::int64_t e = 0; e < kv * vc; ++e) dv.data()[e] += dvp[e];
     }
   }
+}
+
+}  // namespace simd
+
+void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
+                       std::int64_t q_offset, float scale,
+                       const AttnPartial& fwd, const Tensor& dout, Tensor& dq,
+                       std::vector<Tensor>& dk_chunks,
+                       std::vector<Tensor>& dv_chunks) {
+  simd::attn_streamed_bwd(simd::active_isa(), q, chunks, q_offset, scale, fwd,
+                          dout, dq, dk_chunks, dv_chunks);
 }
 
 }  // namespace slim::num

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/numerics/arena.hpp"
+#include "src/numerics/kernels.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace slim::num {
@@ -16,7 +17,6 @@ namespace {
 // determinism rule of src/util/thread_pool.hpp.
 constexpr std::int64_t kRowGrain = 16;       // output rows per chunk
 constexpr std::int64_t kFlatGrain = 1 << 14; // elements per chunk
-constexpr std::int64_t kKBlock = 128;        // k-panel kept hot in cache
 
 util::ThreadPool& pool() { return util::ThreadPool::global(); }
 
@@ -210,69 +210,70 @@ float Tensor::l2norm() const {
 // a single policy keeps the two paths' rounding symmetric. There is no
 // zero-operand fast path: 0 * NaN must stay NaN (IEEE propagation) and
 // kernel timing must not depend on the data.
+//
+// All three run the one register-blocked microkernel of kernels.hpp over
+// row chunks; they differ only in how the operands are presented to it.
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  SLIM_CHECK(a.cols() == b.rows(), "matmul shape mismatch");
-  Tensor c(a.rows(), b.cols());  // zero-init: the k-panels accumulate
-  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
+namespace simd {
+
+namespace {
+
+/// Row-chunked GEMM; A(i,kk) = a[i*a_row + kk*a_k], B is (k x n) row-major.
+Tensor gemm(Isa isa, const float* a, std::int64_t a_row, std::int64_t a_k,
+            const float* b, std::int64_t m, std::int64_t n, std::int64_t k) {
+  if (k == 0) return Tensor(m, n);  // empty sums: +0
+  // Every output element is written exactly once — uninit is safe.
+  Tensor c = Tensor::uninit(m, n);
+  const Kernels& kern = kernels(isa);
+  float* out = c.data();
   pool().parallel_for(0, m, kRowGrain, [&](std::int64_t i0, std::int64_t i1) {
-    // Row-chunked saxpy form, k-panelled so the panel of B stays cached
-    // across the chunk's rows. Per output element the adds still happen in
-    // ascending-k order: identical bits to the unpanelled loop.
-    for (std::int64_t k0 = 0; k0 < k; k0 += kKBlock) {
-      const std::int64_t k1 = std::min(k, k0 + kKBlock);
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* crow = c.data() + i * n;
-        for (std::int64_t kk = k0; kk < k1; ++kk) {
-          const float av = a.at(i, kk);
-          const float* brow = b.data() + kk * n;
-          for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
+    kern.gemm(a + i0 * a_row, a_row, a_k, b, n, out + i0 * n, n, i1 - i0, n,
+              k);
   });
   return c;
+}
+
+}  // namespace
+
+Tensor matmul(Isa isa, const Tensor& a, const Tensor& b) {
+  SLIM_CHECK(a.cols() == b.rows(), "matmul shape mismatch");
+  return gemm(isa, a.data(), a.cols(), 1, b.data(), a.rows(), b.cols(),
+              a.cols());
+}
+
+Tensor matmul_nt(Isa isa, const Tensor& a, const Tensor& b) {
+  SLIM_CHECK(a.cols() == b.cols(), "matmul_nt shape mismatch");
+  const std::int64_t k = a.cols(), n = b.rows();
+  // Pack B^T (k x n) once; every row chunk then streams it like matmul's B.
+  WorkspaceLease<float> bt(k * n);
+  float* packed = bt.data();
+  pool().parallel_for(0, n, kRowGrain, [&](std::int64_t j0, std::int64_t j1) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      for (std::int64_t j = j0; j < j1; ++j) packed[kk * n + j] = b.at(j, kk);
+    }
+  });
+  return gemm(isa, a.data(), k, 1, packed, a.rows(), n, k);
+}
+
+Tensor matmul_tn(Isa isa, const Tensor& a, const Tensor& b) {
+  SLIM_CHECK(a.rows() == b.rows(), "matmul_tn shape mismatch");
+  // Output row i is column i of A: read A with stride m along k.
+  return gemm(isa, a.data(), 1, a.cols(), b.data(), a.cols(), b.cols(),
+              a.rows());
+}
+
+}  // namespace simd
+
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  return simd::matmul(simd::active_isa(), a, b);
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  SLIM_CHECK(a.cols() == b.cols(), "matmul_nt shape mismatch");
-  // Every output element is written exactly once — uninit is safe.
-  Tensor c = Tensor::uninit(a.rows(), b.rows());
-  const std::int64_t m = a.rows(), k = a.cols(), n = b.rows();
-  pool().parallel_for(0, m, kRowGrain, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = a.data() + i * k;
-      float* crow = c.data() + i * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float* brow = b.data() + j * k;
-        float sum = 0.0f;
-        for (std::int64_t kk = 0; kk < k; ++kk) sum += arow[kk] * brow[kk];
-        crow[j] = sum;
-      }
-    }
-  });
-  return c;
+  return simd::matmul_nt(simd::active_isa(), a, b);
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  SLIM_CHECK(a.rows() == b.rows(), "matmul_tn shape mismatch");
-  Tensor c(a.cols(), b.cols());  // zero-init: accumulates over k
-  const std::int64_t m = a.cols(), k = a.rows(), n = b.cols();
-  pool().parallel_for(0, m, kRowGrain, [&](std::int64_t i0, std::int64_t i1) {
-    // Chunk over output rows (columns of A); within a chunk keep k outer so
-    // each row of B streams once per chunk and is reused for every output
-    // row in it.
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float* arow = a.data() + kk * m;
-      const float* brow = b.data() + kk * n;
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float av = arow[i];
-        float* crow = c.data() + i * n;
-        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-  return c;
+  return simd::matmul_tn(simd::active_isa(), a, b);
 }
 
 }  // namespace slim::num
