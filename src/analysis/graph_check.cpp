@@ -179,13 +179,13 @@ std::vector<Finding> run_checks(const OpGraph& graph,
   Ledger ledger;
   VocabOps vocab;
   for (const Op& op : graph.ops()) {
-    for (const OpId dep : op.deps) {
+    for (const OpId dep : graph.deps(op.id)) {
       if (dep >= 0 && dep < num_ops && dep != op.id) continue;
       dep_report(op_location(op),
                  "dependency id " + std::to_string(dep) + " is " +
                      (dep == op.id ? "a self-dependency" : "out of range"));
     }
-    for (const sim::MemDelta& delta : op.mem) {
+    for (const sim::MemDelta& delta : graph.mem(op.id)) {
       if (delta.device < 0 || delta.category < 0 ||
           delta.category >= mem::kNumCategories) {
         mem_report(op_location(op),

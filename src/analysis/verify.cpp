@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "src/model/activation.hpp"
+#include "src/util/csr.hpp"
 #include "src/util/logging.hpp"
 
 namespace slim::analysis {
@@ -109,35 +110,20 @@ std::vector<mem::MeasuredPeak> MemoryCertificate::measured_peaks() const {
   std::vector<mem::MeasuredPeak> peaks;
   for (std::size_t dev = 0; dev < device_peak.size(); ++dev) {
     // Unit size of the device's chunk-0 stage (stages on one device share
-    // the unit size whenever layers split evenly).
-    double act_unit = 0.0, kv_unit = 0.0;
+    // the unit size whenever layers split evenly). It is act+KV combined:
+    // the device peaks cannot be split back per category, so a separately
+    // booked KV entry uses the same unit.
+    double unit = 0.0;
     for (const StageCertificate& stage : stages) {
       if (stage.device != static_cast<int>(dev)) continue;
-      act_unit = stage.unit_bytes;
+      unit = stage.unit_bytes;
       break;
     }
-    if (kv_category == mem::kKvCache) {
-      // unit_bytes is act+kv combined; split is carried by the ledgers.
-      // Activation entry uses the combined unit minus the KV share only
-      // when KV is booked separately; reconstruct from the device peaks is
-      // not possible in general, so both entries use the stage unit.
-      kv_unit = act_unit;
-    }
-    mem::MeasuredPeak act;
-    act.device = static_cast<int>(dev);
-    act.category = mem::kActivation;
-    act.measured_bytes = device_activation_peak[dev];
-    act.measured_unit_bytes = act_unit;
-    act.analytical_unit_bytes = act_unit;
-    peaks.push_back(act);
+    const int device = static_cast<int>(dev);
+    peaks.push_back(
+        {device, mem::kActivation, device_activation_peak[dev], unit, unit});
     if (kv_category == mem::kKvCache && device_kv_peak[dev] > 0.0) {
-      mem::MeasuredPeak kv;
-      kv.device = static_cast<int>(dev);
-      kv.category = mem::kKvCache;
-      kv.measured_bytes = device_kv_peak[dev];
-      kv.measured_unit_bytes = kv_unit;
-      kv.analytical_unit_bytes = kv_unit;
-      peaks.push_back(kv);
+      peaks.push_back({device, mem::kKvCache, device_kv_peak[dev], unit, unit});
     }
   }
   return peaks;
@@ -271,17 +257,21 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
   for (auto& [key, channel] : channels) {
     const int lane = std::get<2>(key);
     const char* payload = lane == 0 ? "activation" : "gradient";
-    // Unit-keyed matching: dangling recvs and unconsumed sends first.
-    std::unordered_map<std::int64_t, std::deque<std::size_t>> pending;
-    for (std::size_t i = 0; i < channel.sends.size(); ++i) {
-      pending[channel.sends[i].key].push_back(i);
+    // Unit-keyed matching: dangling recvs and unconsumed sends first. Sends
+    // of one unit key queue in a flat chain: pending[key] -> next_send[].
+    std::unordered_map<std::int64_t, std::size_t> pending;
+    pending.reserve(channel.sends.size());
+    std::vector<std::size_t> next_send(channel.sends.size(), SIZE_MAX);
+    for (std::size_t i = channel.sends.size(); i-- > 0;) {
+      auto [it, fresh] = pending.try_emplace(channel.sends[i].key, i);
+      if (!fresh) next_send[i] = std::exchange(it->second, i);
     }
     std::vector<bool> consumed(channel.sends.size(), false);
     std::vector<std::size_t> send_of_recv(channel.recvs.size(), SIZE_MAX);
     for (std::size_t i = 0; i < channel.recvs.size(); ++i) {
       const Comm& recv = channel.recvs[i];
       auto it = pending.find(recv.key);
-      if (it == pending.end() || it->second.empty()) {
+      if (it == pending.end() || it->second == SIZE_MAX) {
         const Row& row = rows[recv.row];
         std::ostringstream msg;
         msg << "dangling recv: no matching " << payload << " send from dev "
@@ -291,8 +281,8 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
         report("verify-causality", row_location(row), msg.str());
         continue;
       }
-      const std::size_t send_idx = it->second.front();
-      it->second.pop_front();
+      const std::size_t send_idx = it->second;
+      it->second = next_send[send_idx];
       consumed[send_idx] = true;
       send_of_recv[i] = send_idx;
       matched.push_back({channel.sends[send_idx].row, recv.row});
@@ -380,32 +370,34 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
   // stages on one device, no message between them) is covered too.
   {
     const std::size_t n = rows.size();
-    std::vector<std::vector<std::size_t>> succ(n);
-    std::vector<std::int32_t> indeg(n, 0);
-    auto add_edge = [&](std::size_t from, std::size_t to) {
-      if (from == SIZE_MAX || to == SIZE_MAX) return;
-      succ[from].push_back(to);
-      ++indeg[to];
-    };
-    for (const auto& positions : device_pos) {
-      for (std::size_t i = 1; i < positions.size(); ++i) {
-        add_edge(positions[i - 1], positions[i]);
-      }
-    }
-    for (const auto& [send, recv] : matched) add_edge(send, recv);
-    for (int stage = 0; stage < num_stages; ++stage) {
-      for (std::int32_t mb = 0; mb < spec.m; ++mb) {
-        for (std::int32_t slice = 0; slice < spec.n; ++slice) {
-          const UnitRows& unit = units[unit_index(stage, mb, slice)];
-          add_edge(unit.forward, unit.retire);
-          add_edge(unit.retire, unit.weight);
-          if (stage + 1 == num_stages) continue;
-          const UnitRows& next = units[unit_index(stage + 1, mb, slice)];
-          add_edge(unit.forward, next.forward);
-          add_edge(next.retire, unit.retire);
+    auto wait_for_edges = [&](auto&& emit) {
+      auto add_edge = [&](std::size_t from, std::size_t to) {
+        if (from != SIZE_MAX && to != SIZE_MAX) emit(from, to);
+      };
+      for (const auto& positions : device_pos) {
+        for (std::size_t i = 1; i < positions.size(); ++i) {
+          add_edge(positions[i - 1], positions[i]);
         }
       }
-    }
+      for (const auto& [send, recv] : matched) add_edge(send, recv);
+      for (int stage = 0; stage < num_stages; ++stage) {
+        for (std::int32_t mb = 0; mb < spec.m; ++mb) {
+          for (std::int32_t slice = 0; slice < spec.n; ++slice) {
+            const UnitRows& unit = units[unit_index(stage, mb, slice)];
+            add_edge(unit.forward, unit.retire);
+            add_edge(unit.retire, unit.weight);
+            if (stage + 1 == num_stages) continue;
+            const UnitRows& next = units[unit_index(stage + 1, mb, slice)];
+            add_edge(unit.forward, next.forward);
+            add_edge(next.retire, unit.retire);
+          }
+        }
+      }
+    };
+    // Successors in one CSR table, each row in edge order.
+    const Csr<std::size_t> succ = build_csr<std::size_t>(n, wait_for_edges);
+    std::vector<std::int32_t> indeg(n, 0);
+    for (const std::size_t to : succ.items) ++indeg[to];
 
     std::vector<std::size_t> ready;
     std::size_t done = 0;
@@ -416,7 +408,7 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
       const std::size_t cur = ready.back();
       ready.pop_back();
       ++done;
-      for (const std::size_t next : succ[cur]) {
+      for (const std::size_t next : succ.row(cur)) {
         if (--indeg[next] == 0) ready.push_back(next);
       }
     }
@@ -433,14 +425,13 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
         const std::size_t start = blocked[s];
         std::vector<std::size_t> parent(n, SIZE_MAX);
         std::vector<bool> seen(n, false);
-        std::deque<std::size_t> queue;
+        std::vector<std::size_t> queue;  // BFS order; `head` is the front
         seen[start] = true;
         queue.push_back(start);
         bool closed = false;
-        while (!queue.empty() && !closed) {
-          const std::size_t cur = queue.front();
-          queue.pop_front();
-          for (const std::size_t next : succ[cur]) {
+        for (std::size_t head = 0; head < queue.size() && !closed; ++head) {
+          const std::size_t cur = queue[head];
+          for (const std::size_t next : succ.row(cur)) {
             if (indeg[next] == 0) continue;  // not part of any cycle
             if (next == start) {
               // Reconstruct start -> ... -> cur, closing back to start.

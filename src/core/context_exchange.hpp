@@ -11,8 +11,15 @@
 // and returns the output for an online-softmax merge. After pairing, every
 // member of a pair carries exactly the pair's mean workload — the residual
 // imbalance across pairs is at most one slice of KV.
+//
+// A cohort's loads depend only on its members' slice indices. Between the
+// warm-up and the cool-down every device is active and the cohort at tick t
+// equals the one at t - n, so the planner balances each distinct cohort
+// shape once, at construction, and answers plan() from that memo.
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "src/model/flops.hpp"
 #include "src/sched/builder.hpp"
@@ -44,10 +51,17 @@ class ExchangePlanner final : public sched::ExchangeOracle {
     double kv_tokens = 0.0;  // > 0: this device sheds KV; < 0: absorbs
   };
   struct Balance {
-    double kv_tokens = 0.0;  // balanced attended-KV workload
-    std::vector<Move> moves;
+    double kv_tokens = 0.0;       // balanced attended-KV workload
+    std::span<const Move> moves;  // view into the memo
   };
-  Balance balance_cohort(int device, std::int64_t stream, bool forward) const;
+  Balance balance(int device, std::int64_t stream, bool forward) const;
+
+  /// Memo index of the cohort active at `tick`, or -1 when no stream is.
+  std::int64_t shape_of(std::int64_t tick) const;
+  /// Balances the cohort of `tick` and appends its memo entry: shapes are
+  /// recorded in memo order (forward first, then ascending shape).
+  void balance_shape(std::int64_t tick, bool forward,
+                     std::vector<std::vector<Move>>& scratch);
 
   double load_of_stream(std::int64_t x, bool forward) const;
 
@@ -62,6 +76,14 @@ class ExchangePlanner final : public sched::ExchangeOracle {
   double q_bytes_;             // one slice of Q (== O) per layer, per device
   double kv_bytes_per_token_;  // K+V bytes per token per layer, per device
   model::CostModel cost_;
+
+  // Cohort-shape memo: per direction (forward first) and shape, the
+  // cohort's mean load and each device's moves (a CSR row per device).
+  bool steady_ = false;        // the pipeline has a full-cohort range
+  std::int64_t num_shapes_ = 0;
+  std::vector<double> shape_mean_;         // [dir][shape]
+  std::vector<std::uint32_t> move_start_;  // [dir][shape][device] + end
+  std::vector<Move> moves_;
 };
 
 }  // namespace slim::core

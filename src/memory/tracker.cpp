@@ -59,11 +59,14 @@ MemoryReport replay_memory(const sim::OpGraph& graph,
     int op_id;    // tie-break so same-time replays are order-independent
     int seq;      // delta index within the op (ops can carry several)
   };
+  std::size_t num_events = 0;
+  for (const sim::Op& op : graph.ops()) num_events += graph.mem(op.id).size();
   std::vector<Event> events;
+  events.reserve(num_events);
   for (const sim::Op& op : graph.ops()) {
     const sim::OpTiming& t = result.timings[static_cast<std::size_t>(op.id)];
     int seq = 0;
-    for (const sim::MemDelta& delta : op.mem) {
+    for (const sim::MemDelta& delta : graph.mem(op.id)) {
       events.push_back(Event{delta.at_end ? t.end : t.start, delta.device,
                              delta.category, delta.bytes,
                              static_cast<int>(op.id), seq++});

@@ -1,9 +1,8 @@
 #include "src/obs/metrics.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
-#include <map>
-#include <tuple>
 
 namespace slim::obs {
 
@@ -59,18 +58,33 @@ std::vector<int> peak_live_slices(const sim::OpGraph& graph,
     int device;
     int delta;  // -1 sorts before +1 at equal t
   };
-  std::vector<Ev> events;
-  std::map<std::tuple<int, std::int32_t, std::int32_t>, bool> released;
+  auto counted = [num_devices](const sim::Op& op) {
+    return op.device >= 0 && op.device < num_devices && op.microbatch >= 0 &&
+           op.slice >= 0;
+  };
+  // Flat (device, microbatch, slice) table of released slices.
+  std::size_t mbs = 0, slices = 0;
   for (const sim::Op& op : graph.ops()) {
-    if (op.device < 0 || op.device >= num_devices) continue;
-    if (op.microbatch < 0 || op.slice < 0) continue;
+    if (!counted(op)) continue;
+    mbs = std::max(mbs, static_cast<std::size_t>(op.microbatch) + 1);
+    slices = std::max(slices, static_cast<std::size_t>(op.slice) + 1);
+  }
+  std::vector<std::uint8_t> released(
+      static_cast<std::size_t>(std::max(num_devices, 0)) * mbs * slices, 0);
+  std::vector<Ev> events;
+  for (const sim::Op& op : graph.ops()) {
+    if (!counted(op)) continue;
     const sim::OpTiming& t = result.timings[static_cast<std::size_t>(op.id)];
     if (is_forward_class(op.cls)) {
       events.push_back({t.start, op.device, +1});
     } else if (is_backward_release_class(op.cls)) {
-      bool& done = released[{op.device, op.microbatch, op.slice}];
+      std::uint8_t& done =
+          released[(static_cast<std::size_t>(op.device) * mbs +
+                    static_cast<std::size_t>(op.microbatch)) *
+                       slices +
+                   static_cast<std::size_t>(op.slice)];
       if (!done) {
-        done = true;
+        done = 1;
         events.push_back({t.end, op.device, -1});
       }
     }

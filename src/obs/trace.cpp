@@ -146,8 +146,8 @@ Trace trace_from_sim(const sim::OpGraph& graph, const sim::ExecResult& result) {
   // every dependent op on the receiving device. Dependents are found by a
   // single reverse sweep over the explicit edges.
   for (const sim::Op& op : ops) {
-    for (const sim::OpId dep : op.deps) {
-      const sim::Op& producer = graph.op(dep);
+    for (const sim::OpId dep : graph.deps(op.id)) {
+      const sim::Op& producer = ops[static_cast<std::size_t>(dep)];
       if (!is_transfer_class(producer.cls) || producer.peer < 0) continue;
       const sim::OpTiming& pt =
           result.timings[static_cast<std::size_t>(producer.id)];

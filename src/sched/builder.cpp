@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
 #include "src/analysis/graph_check.hpp"
 #include "src/analysis/schedule_check.hpp"
@@ -22,14 +21,6 @@ namespace {
 constexpr double kMemoryReserveBytes = 3.0 * kGiB;  // runtime + NCCL + workspace
 
 std::atomic<bool> g_compile_lint{true};
-
-std::int64_t pack_key(PassType type, std::int32_t mb, std::int32_t slice,
-                      std::int32_t stage) {
-  return (static_cast<std::int64_t>(type) << 56) |
-         (static_cast<std::int64_t>(mb) << 36) |
-         (static_cast<std::int64_t>(slice) << 16) |
-         static_cast<std::int64_t>(stage);
-}
 
 /// Parameter count on one device (after TP/EP sharding).
 double device_params(const model::TransformerConfig& cfg,
@@ -191,8 +182,42 @@ BuildOutput compile(const PipelineSpec& spec,
   output.graph = std::make_unique<sim::OpGraph>(topo);
   sim::OpGraph& graph = *output.graph;
 
-  std::unordered_map<std::int64_t, sim::OpId> index;
-  index.reserve(programs.size() * 64);
+  // Dense op index over (pass type, stage, microbatch, slice), plus the
+  // last stage's vocabulary forward/backward per (microbatch, slice). The
+  // first op booked under a key wins.
+  const std::size_t units = static_cast<std::size_t>(spec.m) *
+                            static_cast<std::size_t>(spec.n);
+  std::vector<sim::OpId> index(
+      4 * static_cast<std::size_t>(num_stages) * units, sim::kInvalidOp);
+  std::vector<sim::OpId> vocab_index(2 * units, sim::kInvalidOp);
+  auto unit_of = [&](std::int32_t mb, std::int32_t slice) {
+    SLIM_CHECK(mb >= 0 && mb < spec.m && slice >= 0 && slice < spec.n,
+               "pass unit out of range");
+    return static_cast<std::size_t>(mb) * static_cast<std::size_t>(spec.n) +
+           static_cast<std::size_t>(slice);
+  };
+  auto slot = [&](PassType type, std::int32_t mb, std::int32_t slice,
+                  int stage) -> sim::OpId& {
+    SLIM_CHECK(stage >= 0 && stage < num_stages, "pass stage out of range");
+    return index[(static_cast<std::size_t>(type) *
+                      static_cast<std::size_t>(num_stages) +
+                  static_cast<std::size_t>(stage)) *
+                     units +
+                 unit_of(mb, slice)];
+  };
+  auto vocab_slot = [&](bool forward, std::int32_t mb,
+                        std::int32_t slice) -> sim::OpId& {
+    return vocab_index[(forward ? units : 0) + unit_of(mb, slice)];
+  };
+  auto book = [](sim::OpId& slot_ref, sim::OpId op) {
+    if (slot_ref == sim::kInvalidOp) slot_ref = op;
+  };
+  std::size_t num_passes = 0;
+  for (const DeviceProgram& program : programs) num_passes += program.size();
+  // Per pass: its op, at most one inbound transfer, one vocabulary op and
+  // one PCIe copy; context exchange adds about one transfer per pass.
+  graph.reserve(3 * num_passes + static_cast<std::size_t>(spec.p),
+                3 * num_passes, 3 * num_passes);
   // Compute ops per device in creation order (for exchange "previous op").
   std::vector<std::vector<sim::OpId>> device_ops(
       static_cast<std::size_t>(spec.p));
@@ -208,6 +233,7 @@ BuildOutput compile(const PipelineSpec& spec,
   struct ExchangeRef {
     sim::OpId op;
     int device;
+    std::size_t pos;  // index of `op` in device_ops[device]
     ExchangeOracle::PassPlan plan;
   };
   std::vector<ExchangeRef> exchange_refs;
@@ -280,23 +306,21 @@ BuildOutput compile(const PipelineSpec& spec,
                                                sim::OpClass::VocabBackward, {});
         graph.set_tag(vb, pass.microbatch, pass.slice, stage);
         graph.add_mem(vb, {dev, mem::kLogits, -logits_slice, /*at_end=*/true});
-        index.emplace(pack_key(PassType::BackwardWeight /*unused slot*/,
-                               pass.microbatch, pass.slice,
-                               stage + num_stages /*VB namespace*/),
-                      vb);
+        book(vocab_slot(false, pass.microbatch, pass.slice), vb);
         device_ops[static_cast<std::size_t>(dev)].push_back(vb);
       }
 
       const sim::OpId op = graph.add_compute(dev, duration, cls, {});
       graph.set_tag(op, pass.microbatch, pass.slice, stage);
-      index.emplace(pack_key(pass.type, pass.microbatch, pass.slice, stage),
-                    op);
+      book(slot(pass.type, pass.microbatch, pass.slice, stage), op);
       device_ops[static_cast<std::size_t>(dev)].push_back(op);
       if (sliced_attn_pass && !plan.exchanges.empty()) {
-        exchange_refs.push_back({op, dev, plan});
         for (const ExchangeOracle::Exchange& ex : plan.exchanges) {
           exchange_sent[static_cast<std::size_t>(dev)] += ex.send_bytes;
         }
+        exchange_refs.push_back(
+            {op, dev, device_ops[static_cast<std::size_t>(dev)].size() - 1,
+             std::move(plan)});
       }
 
       // Memory deltas. With offloading enabled, the forward allocates the
@@ -339,17 +363,16 @@ BuildOutput compile(const PipelineSpec& spec,
             // Prefetch launched from two passes back so it overlaps; the
             // backward waits for it.
             const auto& own = device_ops[static_cast<std::size_t>(dev)];
-            std::vector<sim::OpId> pdeps;
-            if (own.size() >= 2) pdeps.push_back(own[own.size() - 2]);
             const sim::OpId prefetch = graph.add_on_resource(
                 graph.pcie_resource(dev), dev, pcie_time, sim::OpClass::Other,
-                std::move(pdeps));
+                {});
+            if (own.size() >= 2) graph.add_dep(prefetch, own[own.size() - 2]);
             graph.set_tag(prefetch, pass.microbatch, pass.slice, stage);
             graph.add_mem(prefetch, {dev, mem::kActivation, act_host, false});
             if (kv_host > 0.0) {
               graph.add_mem(prefetch, {dev, kv_category, kv_host, false});
             }
-            graph.op(op).deps.push_back(prefetch);
+            graph.add_dep(op, prefetch);
           }
           graph.add_mem(op, {dev, mem::kActivation, -act_full, true});
           if (kv_full > 0.0) {
@@ -386,10 +409,7 @@ BuildOutput compile(const PipelineSpec& spec,
                                                {op});
         graph.set_tag(vf, pass.microbatch, pass.slice, stage);
         graph.add_mem(vf, {dev, mem::kLogits, logits_slice, false});
-        index.emplace(pack_key(PassType::BackwardWeight,
-                               pass.microbatch, pass.slice,
-                               stage + 2 * num_stages /*VF namespace*/),
-                      vf);
+        book(vocab_slot(true, pass.microbatch, pass.slice), vf);
         device_ops[static_cast<std::size_t>(dev)].push_back(vf);
       }
     }
@@ -415,17 +435,7 @@ BuildOutput compile(const PipelineSpec& spec,
 
   // ---- pass 2: dependencies and transfers ----
   auto find = [&](PassType type, std::int32_t mb, std::int32_t slice,
-                  std::int32_t stage) -> sim::OpId {
-    auto it = index.find(pack_key(type, mb, slice, stage));
-    return it == index.end() ? sim::kInvalidOp : it->second;
-  };
-  auto find_vocab = [&](bool forward, std::int32_t mb,
-                        std::int32_t slice) -> sim::OpId {
-    const std::int32_t ns = forward ? 2 * num_stages : num_stages;
-    auto it = index.find(pack_key(PassType::BackwardWeight, mb, slice,
-                                  (num_stages - 1) + ns));
-    return it == index.end() ? sim::kInvalidOp : it->second;
-  };
+                  int stage) { return slot(type, mb, slice, stage); };
 
   for (int dev = 0; dev < spec.p; ++dev) {
     for (const Pass& pass : programs[static_cast<std::size_t>(dev)]) {
@@ -442,12 +452,12 @@ BuildOutput compile(const PipelineSpec& spec,
                    "missing producer pass for stage dependency");
         const int src = layout.device_of(producer_stage);
         if (src == dev) {
-          graph.op(op).deps.push_back(producer);
+          graph.add_dep(op, producer);
         } else {
           const sim::OpId xfer = graph.add_transfer(
               src, dev, boundary, sim::OpClass::Send, {producer}, lane);
           graph.set_tag(xfer, pass.microbatch, pass.slice, stage);
-          graph.op(op).deps.push_back(xfer);
+          graph.add_dep(op, xfer);
         }
       };
 
@@ -464,7 +474,7 @@ BuildOutput compile(const PipelineSpec& spec,
           const sim::OpId fwd =
               find(PassType::Forward, pass.microbatch, pass.slice, stage);
           SLIM_CHECK(fwd != sim::kInvalidOp, "backward without forward");
-          graph.op(op).deps.push_back(fwd);
+          graph.add_dep(op, fwd);
           if (stage < num_stages - 1) {
             sim::OpId producer =
                 find(pass.type, pass.microbatch, pass.slice, stage + 1);
@@ -474,12 +484,12 @@ BuildOutput compile(const PipelineSpec& spec,
             }
             link_from(producer, stage + 1, /*lane=*/1);
           } else if (!spec.vocab_parallel) {
-            const sim::OpId vf = find_vocab(true, pass.microbatch, pass.slice);
-            const sim::OpId vb = find_vocab(false, pass.microbatch, pass.slice);
+            const sim::OpId vf = vocab_slot(true, pass.microbatch, pass.slice);
+            const sim::OpId vb = vocab_slot(false, pass.microbatch, pass.slice);
             SLIM_CHECK(vf != sim::kInvalidOp && vb != sim::kInvalidOp,
                        "missing vocabulary ops at last stage");
-            graph.op(vb).deps.push_back(vf);
-            graph.op(op).deps.push_back(vb);
+            graph.add_dep(vb, vf);
+            graph.add_dep(op, vb);
           }
           break;
         }
@@ -487,7 +497,7 @@ BuildOutput compile(const PipelineSpec& spec,
           const sim::OpId bi = find(PassType::BackwardInput, pass.microbatch,
                                     pass.slice, stage);
           SLIM_CHECK(bi != sim::kInvalidOp, "weight grad without input grad");
-          graph.op(op).deps.push_back(bi);
+          graph.add_dep(op, bi);
           break;
         }
       }
@@ -502,39 +512,28 @@ BuildOutput compile(const PipelineSpec& spec,
   // (balanced) pipeline the partner's previous pass ends at the same tick
   // as the receiver's, so the receiver's own previous op is used as the
   // launch anchor — this keeps the graph acyclic by construction.
-  if (!exchange_refs.empty()) {
-    std::unordered_map<sim::OpId, int> pos;
-    for (int dev = 0; dev < spec.p; ++dev) {
-      const auto& ops = device_ops[static_cast<std::size_t>(dev)];
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        pos.emplace(ops[i], static_cast<int>(i));
-      }
+  for (const ExchangeRef& ref : exchange_refs) {
+    const auto& own_ops = device_ops[static_cast<std::size_t>(ref.device)];
+    // "Early Key-Value Exchange" (§5): the payload is mostly KV of
+    // *earlier* slices, so it can launch two passes ahead and overlap
+    // with the previous pass's compute.
+    sim::OpId anchor = sim::kInvalidOp;
+    if (ref.pos >= 2) {
+      anchor = own_ops[ref.pos - 2];
+    } else if (ref.pos == 1) {
+      anchor = own_ops[0];
     }
-    for (const ExchangeRef& ref : exchange_refs) {
-      const auto& own_ops = device_ops[static_cast<std::size_t>(ref.device)];
-      const int my_pos = pos.at(ref.op);
-      // "Early Key-Value Exchange" (§5): the payload is mostly KV of
-      // *earlier* slices, so it can launch two passes ahead and overlap
-      // with the previous pass's compute.
-      sim::OpId anchor = sim::kInvalidOp;
-      if (my_pos >= 2) {
-        anchor = own_ops[static_cast<std::size_t>(my_pos - 2)];
-      } else if (my_pos == 1) {
-        anchor = own_ops[0];
-      }
-      for (const ExchangeOracle::Exchange& ex : ref.plan.exchanges) {
-        if (ex.recv_bytes <= 0.0) continue;
-        SLIM_CHECK(ex.partner >= 0 && ex.partner < spec.p,
-                   "bad exchange partner");
-        std::vector<sim::OpId> deps;
-        if (anchor != sim::kInvalidOp) deps.push_back(anchor);
-        const sim::OpId xfer = graph.add_transfer(
-            ex.partner, ref.device, ex.recv_bytes, sim::OpClass::ExchangeSend,
-            std::move(deps), /*lane=*/2);
-        const sim::Op& main_op = graph.op(ref.op);
-        graph.set_tag(xfer, main_op.microbatch, main_op.slice, main_op.stage);
-        graph.op(ref.op).deps.push_back(xfer);
-      }
+    for (const ExchangeOracle::Exchange& ex : ref.plan.exchanges) {
+      if (ex.recv_bytes <= 0.0) continue;
+      SLIM_CHECK(ex.partner >= 0 && ex.partner < spec.p,
+                 "bad exchange partner");
+      const sim::OpId xfer = graph.add_transfer(
+          ex.partner, ref.device, ex.recv_bytes, sim::OpClass::ExchangeSend,
+          {}, /*lane=*/2);
+      if (anchor != sim::kInvalidOp) graph.add_dep(xfer, anchor);
+      const sim::Op& main_op = graph.op(ref.op);
+      graph.set_tag(xfer, main_op.microbatch, main_op.slice, main_op.stage);
+      graph.add_dep(ref.op, xfer);
     }
   }
   output.exchange_bytes_max_device =

@@ -64,8 +64,10 @@ BuildOutput compile(const PipelineSpec& spec,
                     const ExchangeOracle* exchange);
 
 /// Process-global toggle for the static analysis passes inside compile().
-/// On by default (every test exercises them); benches turn it off so the
-/// large grid sweeps do not pay the extra linear pass per compilation.
+/// On by default, for every caller including the benches. Callers that run
+/// the passes themselves turn it off around compile(): slimpipe_lint, which
+/// reports findings instead of aborting, and the benchmark's traced run,
+/// which times the gate and the build separately.
 void set_compile_lint(bool enabled);
 bool compile_lint_enabled();
 

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/util/csr.hpp"
 #include "src/util/logging.hpp"
 
 namespace slim::sim {
@@ -28,25 +29,25 @@ ExecResult execute(const OpGraph& graph) {
   const std::vector<Op>& ops = graph.ops();
   const std::size_t n = ops.size();
 
-  // in-degree = explicit deps + (1 if the op has a predecessor on its
-  // resource). Dependents collected for Kahn's algorithm.
+  // Successors for Kahn's algorithm: each op's explicit dependents in op
+  // order, then its program-order successor (the implicit edge to the next
+  // op on its resource). An op's in-degree counts both kinds.
+  const Csr<OpId> succ = build_csr<OpId>(n, [&](auto&& emit) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const OpId dep : graph.deps(static_cast<OpId>(i))) {
+        SLIM_CHECK(dep >= 0 && static_cast<std::size_t>(dep) < n,
+                   "dependency op id out of range");
+        emit(static_cast<std::size_t>(dep), static_cast<OpId>(i));
+      }
+    }
+    for (const auto& program : graph.programs()) {
+      for (std::size_t i = 1; i < program.size(); ++i) {
+        emit(static_cast<std::size_t>(program[i - 1]), program[i]);
+      }
+    }
+  });
   std::vector<std::int32_t> indeg(n, 0);
-  std::vector<std::vector<OpId>> dependents(n);
-  for (const Op& op : ops) {
-    for (OpId dep : op.deps) {
-      SLIM_CHECK(dep >= 0 && static_cast<std::size_t>(dep) < n,
-                 "dependency op id out of range");
-      dependents[static_cast<std::size_t>(dep)].push_back(op.id);
-      ++indeg[static_cast<std::size_t>(op.id)];
-    }
-  }
-  for (const auto& program : graph.programs()) {
-    for (std::size_t i = 1; i < program.size(); ++i) {
-      dependents[static_cast<std::size_t>(program[i - 1])].push_back(
-          program[i]);
-      ++indeg[static_cast<std::size_t>(program[i])];
-    }
-  }
+  for (const OpId next : succ.items) ++indeg[static_cast<std::size_t>(next)];
 
   ExecResult result;
   result.timings.assign(n, OpTiming{});
@@ -54,8 +55,8 @@ ExecResult execute(const OpGraph& graph) {
 
   std::vector<OpId> ready;
   ready.reserve(n);
-  for (const Op& op : ops) {
-    if (indeg[static_cast<std::size_t>(op.id)] == 0) ready.push_back(op.id);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (indeg[i] == 0) ready.push_back(static_cast<OpId>(i));
   }
 
   std::size_t processed = 0;
@@ -64,10 +65,10 @@ ExecResult execute(const OpGraph& graph) {
   while (!ready.empty()) {
     const OpId id = ready.back();
     ready.pop_back();
-    const Op& op = graph.op(id);
+    const Op& op = ops[static_cast<std::size_t>(id)];
 
     double start = resource_free[static_cast<std::size_t>(op.resource)];
-    for (OpId dep : op.deps) {
+    for (const OpId dep : graph.deps(id)) {
       start = std::max(start, result.timings[static_cast<std::size_t>(dep)].end);
     }
     // Program-order predecessor is covered by resource_free because ops on a
@@ -80,7 +81,7 @@ ExecResult execute(const OpGraph& graph) {
     result.makespan = std::max(result.makespan, t.end);
     ++processed;
 
-    for (OpId next : dependents[static_cast<std::size_t>(id)]) {
+    for (const OpId next : succ.row(static_cast<std::size_t>(id))) {
       if (--indeg[static_cast<std::size_t>(next)] == 0) ready.push_back(next);
     }
   }

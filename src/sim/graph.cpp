@@ -1,6 +1,6 @@
 #include "src/sim/graph.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace slim::sim {
 
@@ -40,99 +40,84 @@ const char* op_class_name(OpClass cls) {
 
 OpGraph::OpGraph(Topology topology) : topology_(topology) {}
 
-ResId OpGraph::intern_resource(std::int64_t key) {
-  auto it = resource_index_.find(key);
-  if (it != resource_index_.end()) return it->second;
-  const ResId id = static_cast<ResId>(resource_count_++);
-  resource_index_.emplace(key, id);
-  programs_.emplace_back();
-  return id;
+void OpGraph::reserve(std::size_t ops, std::size_t deps, std::size_t mem) {
+  ops_.reserve(ops);
+  deps_.reserve(deps);
+  mem_.reserve(mem);
 }
 
-ResId OpGraph::compute_resource(int device) {
-  // Compute streams use key = device; channels use a shifted pair encoding
-  // that can never collide with a plain device id.
-  return intern_resource(static_cast<std::int64_t>(device));
+ResId OpGraph::intern_resource(std::int64_t key) {
+  // Keys: compute streams [0, w), channels [w, w + 8 w^2), PCIe links after.
+  const std::int64_t w = topology_.world_size();
+  SLIM_CHECK(key >= 0 && key < w + 8 * w * w + w, "resource out of range");
+  const auto k = static_cast<std::size_t>(key);
+  if (k >= resource_index_.size()) resource_index_.resize(k + 1, -1);
+  if (resource_index_[k] < 0) {
+    resource_index_[k] = static_cast<ResId>(resource_count_++);
+    programs_.emplace_back();
+  }
+  return resource_index_[k];
 }
+
+ResId OpGraph::compute_resource(int device) { return intern_resource(device); }
 
 ResId OpGraph::channel_resource(int src, int dst, int lane) {
   SLIM_CHECK(src != dst, "channel requires distinct endpoints");
   SLIM_CHECK(lane >= 0 && lane < 8, "lane out of range");
   const std::int64_t w = topology_.world_size();
   const std::int64_t pair = static_cast<std::int64_t>(src) * w + dst;
-  const std::int64_t key = w + pair * 8 + lane;
-  return intern_resource(key);
-}
-
-OpId OpGraph::add_compute(int device, double duration, OpClass cls,
-                          std::vector<OpId> deps) {
-  SLIM_CHECK(duration >= 0.0, "negative op duration");
-  Op op;
-  op.id = static_cast<OpId>(ops_.size());
-  op.resource = compute_resource(device);
-  op.duration = duration;
-  op.cls = cls;
-  op.device = device;
-  op.deps = std::move(deps);
-  programs_[op.resource].push_back(op.id);
-  ops_.push_back(std::move(op));
-  return ops_.back().id;
-}
-
-ResId OpGraph::nic_resource(int src, int lane) {
-  SLIM_CHECK(lane >= 0 && lane < 8, "lane out of range");
-  const std::int64_t w = topology_.world_size();
-  // Distinct keyspace beyond the pairwise channels.
-  const std::int64_t key =
-      w + static_cast<std::int64_t>(w) * w * 8 +
-      static_cast<std::int64_t>(src) * 8 + lane;
-  return intern_resource(key);
+  return intern_resource(w + pair * 8 + lane);
 }
 
 ResId OpGraph::pcie_resource(int device) {
   const std::int64_t w = topology_.world_size();
-  const std::int64_t key =
-      w + static_cast<std::int64_t>(w) * w * 8 + w * 8 + device;
-  return intern_resource(key);
+  return intern_resource(w + w * w * 8 + device);
+}
+
+OpId OpGraph::add_op(ResId resource, int device, double duration,
+                     OpClass cls, std::initializer_list<OpId> deps) {
+  const auto id = static_cast<OpId>(ops_.size());
+  ops_.push_back({.id = id, .resource = resource, .duration = duration,
+                  .cls = cls, .device = device});
+  programs_[static_cast<std::size_t>(resource)].push_back(id);
+  for (const OpId dep : deps) add_dep(id, dep);
+  return id;
+}
+
+OpId OpGraph::add_compute(int device, double duration, OpClass cls,
+                          std::initializer_list<OpId> deps) {
+  SLIM_CHECK(duration >= 0.0, "negative op duration");
+  return add_op(compute_resource(device), device, duration, cls, deps);
 }
 
 OpId OpGraph::add_on_resource(ResId resource, int device, double duration,
-                              OpClass cls, std::vector<OpId> deps) {
+                              OpClass cls, std::initializer_list<OpId> deps) {
   SLIM_CHECK(duration >= 0.0, "negative op duration");
-  Op op;
-  op.id = static_cast<OpId>(ops_.size());
-  op.resource = resource;
-  op.duration = duration;
-  op.cls = cls;
-  op.device = device;
-  op.deps = std::move(deps);
-  programs_[op.resource].push_back(op.id);
-  ops_.push_back(std::move(op));
-  return ops_.back().id;
+  SLIM_CHECK(resource >= 0 &&
+                 static_cast<std::size_t>(resource) < resource_count_,
+             "resource out of range");
+  return add_op(resource, device, duration, cls, deps);
 }
 
 OpId OpGraph::add_transfer(int src, int dst, double bytes, OpClass cls,
-                           std::vector<OpId> deps, int lane) {
-  Op op;
-  op.id = static_cast<OpId>(ops_.size());
-  // Pairwise channels for every transfer: per-link FIFO order then always
-  // matches both endpoints' program order, which keeps arbitrary schedules
-  // deadlock-free by construction. NIC-port oversubscription (one device
-  // talking to several remote peers at once) is therefore not modelled —
-  // see DESIGN.md "known modeling limits".
-  op.resource = channel_resource(src, dst, lane);
-  op.duration = topology_.p2p_time(src, dst, bytes);
-  op.cls = cls;
-  op.device = src;
+                           std::initializer_list<OpId> deps, int lane) {
+  const OpId id = add_op(channel_resource(src, dst, lane), src,
+                         topology_.p2p_time(src, dst, bytes), cls, deps);
+  Op& op = ops_.back();
   op.peer = dst;
   op.bytes = bytes;
-  op.deps = std::move(deps);
-  programs_[op.resource].push_back(op.id);
-  ops_.push_back(std::move(op));
-  return ops_.back().id;
+  return id;
 }
 
-void OpGraph::add_mem(OpId id, MemDelta delta) { op(id).mem.push_back(delta); }
+void OpGraph::add_dep(OpId id, OpId dep) {
+  static_cast<void>(op(id));  // range check
+  deps_.append(static_cast<std::size_t>(id), dep);
+}
+
+void OpGraph::add_mem(OpId id, MemDelta delta) {
+  static_cast<void>(op(id));  // range check
+  mem_.append(static_cast<std::size_t>(id), delta);
+}
 
 void OpGraph::set_tag(OpId id, std::int32_t microbatch, std::int32_t slice,
                       std::int32_t stage) {
@@ -143,9 +128,7 @@ void OpGraph::set_tag(OpId id, std::int32_t microbatch, std::int32_t slice,
 }
 
 Op& OpGraph::op(OpId id) {
-  SLIM_CHECK(id >= 0 && static_cast<std::size_t>(id) < ops_.size(),
-             "op id out of range");
-  return ops_[static_cast<std::size_t>(id)];
+  return const_cast<Op&>(std::as_const(*this).op(id));
 }
 
 const Op& OpGraph::op(OpId id) const {

@@ -9,11 +9,13 @@
 // streams plus point-to-point links.
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <initializer_list>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/topology.hpp"
+#include "src/util/csr.hpp"
 
 namespace slim::sim {
 
@@ -73,17 +75,20 @@ struct Op {
   std::int32_t microbatch = -1;
   std::int32_t slice = -1;
   std::int32_t stage = -1;
-
-  std::vector<OpId> deps;
-  std::vector<MemDelta> mem;
 };
+static_assert(std::is_trivially_copyable_v<Op>);
 
-/// Builder/owner of the op DAG plus the resource table.
+/// Builder/owner of the op DAG plus the resource table. Ops are plain
+/// records in one array; their dependencies and memory deltas live in
+/// graph-owned CSR tables (AppendCsr: the first read after a write folds).
 class OpGraph {
  public:
   explicit OpGraph(Topology topology);
 
   const Topology& topology() const { return topology_; }
+
+  /// Pre-sizes storage for `ops` ops, `deps` edges and `mem` deltas.
+  void reserve(std::size_t ops, std::size_t deps, std::size_t mem);
 
   /// Resource representing the compute stream of `device`.
   ResId compute_resource(int device);
@@ -94,28 +99,31 @@ class OpGraph {
   /// do: FIFO within a lane, independent across lanes.
   ResId channel_resource(int src, int dst, int lane = 0);
 
+  /// Resource of `device`'s PCIe link (host offload traffic).
+  ResId pcie_resource(int device);
+
   /// Adds a compute op on `device` with the given duration.
   OpId add_compute(int device, double duration, OpClass cls,
-                   std::vector<OpId> deps);
+                   std::initializer_list<OpId> deps);
 
   /// Adds a P2P transfer of `bytes` from `src` to `dst`; duration is derived
   /// from the topology. Returns the op to depend on for arrival.
   ///
-  /// Intra-node transfers occupy the dedicated (src, dst) NVLink channel;
-  /// cross-node transfers serialize on the sender's NIC (per lane): a
-  /// device exchanging with several remote peers shares its 400 Gbps port.
+  /// Every transfer occupies the pairwise (src, dst, lane) channel, over
+  /// NVLink within a node and the NIC across nodes. Per-link FIFO order then
+  /// matches both endpoints' program order, which keeps arbitrary schedules
+  /// deadlock-free by construction; a device sending to several remote peers
+  /// at once does not share its NIC port (DESIGN.md, "known modeling
+  /// limits").
   OpId add_transfer(int src, int dst, double bytes, OpClass cls,
-                    std::vector<OpId> deps, int lane = 0);
-
-  /// Resource of device `src`'s NIC transmit queue for a traffic lane.
-  ResId nic_resource(int src, int lane = 0);
-
-  /// Resource of `device`'s PCIe link (host offload traffic).
-  ResId pcie_resource(int device);
+                    std::initializer_list<OpId> deps, int lane = 0);
 
   /// Adds an op on an explicit resource (e.g. a PCIe copy engine).
   OpId add_on_resource(ResId resource, int device, double duration,
-                       OpClass cls, std::vector<OpId> deps);
+                       OpClass cls, std::initializer_list<OpId> deps);
+
+  /// Appends `dep` to the dependencies of `op`.
+  void add_dep(OpId op, OpId dep);
 
   /// Attaches a memory delta to an existing op.
   void add_mem(OpId op, MemDelta delta);
@@ -128,19 +136,31 @@ class OpGraph {
   Op& op(OpId id);
   const Op& op(OpId id) const;
 
+  /// Dependencies / memory deltas of a valid op, in insertion order.
+  std::span<const OpId> deps(OpId id) const {
+    return deps_.row(static_cast<std::size_t>(id), ops_.size());
+  }
+  std::span<const MemDelta> mem(OpId id) const {
+    return mem_.row(static_cast<std::size_t>(id), ops_.size());
+  }
+
   std::size_t num_resources() const { return resource_count_; }
 
   /// Per-resource program order (op ids in insertion order).
   const std::vector<std::vector<OpId>>& programs() const { return programs_; }
 
  private:
+  OpId add_op(ResId resource, int device, double duration, OpClass cls,
+              std::initializer_list<OpId> deps);
   ResId intern_resource(std::int64_t key);
 
   Topology topology_;
   std::vector<Op> ops_;
+  AppendCsr<OpId> deps_;
+  AppendCsr<MemDelta> mem_;
   std::vector<std::vector<OpId>> programs_;
   std::size_t resource_count_ = 0;
-  std::unordered_map<std::int64_t, ResId> resource_index_;
+  std::vector<ResId> resource_index_;  // key -> resource, -1 when unused
 };
 
 }  // namespace slim::sim

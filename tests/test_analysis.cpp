@@ -272,7 +272,7 @@ TEST(GraphCheck, DependencyCycleReportsPath) {
   sim::OpGraph graph(sim::make_cluster(2));
   const auto a = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
   const auto b = graph.add_compute(1, 1.0, sim::OpClass::Forward, {a});
-  graph.op(a).deps.push_back(b);  // a -> b -> a
+  graph.add_dep(a, b);  // a -> b -> a
   EXPECT_TRUE(analysis::check_graph(graph).empty());
   try {
     sim::execute(graph);
@@ -289,7 +289,7 @@ TEST(GraphCheck, DependencyCycleReportsPath) {
 TEST(GraphCheck, SelfDependencyReported) {
   sim::OpGraph graph(sim::make_cluster(1));
   const auto a = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
-  graph.op(a).deps.push_back(a);
+  graph.add_dep(a, a);
   const auto findings = analysis::check_graph(graph);
   EXPECT_TRUE(has_rule(findings, "graph-dep-range"))
       << analysis::render(findings);

@@ -134,7 +134,7 @@ TEST(ExecutorTest, DeadlockDetected) {
   const OpId b = g.add_compute(0, 1.0, OpClass::Forward, {});
   const OpId c = g.add_compute(1, 1.0, OpClass::Forward, {b});
   const OpId d = g.add_compute(1, 1.0, OpClass::Forward, {});
-  g.op(a).deps.push_back(d);
+  g.add_dep(a, d);
   (void)c;
   EXPECT_THROW(execute(g), std::logic_error);
 }
@@ -193,8 +193,8 @@ TEST(GraphTest, MemDeltaAttached) {
   OpGraph g(make_cluster(1));
   const OpId a = g.add_compute(0, 1.0, OpClass::Forward, {});
   g.add_mem(a, {0, 1, 100.0, false});
-  EXPECT_EQ(g.op(a).mem.size(), 1u);
-  EXPECT_DOUBLE_EQ(g.op(a).mem[0].bytes, 100.0);
+  EXPECT_EQ(g.mem(a).size(), 1u);
+  EXPECT_DOUBLE_EQ(g.mem(a)[0].bytes, 100.0);
 }
 
 TEST(GraphTest, OpIdRangeChecked) {

@@ -9,13 +9,14 @@
 # the top-level CMakeLists) gets its own build tree under build-<name>/ and
 # runs the ctest label subsets most likely to surface that bug class:
 #
-#   address    faults, mem, ir, dist, telemetry  (lifetime/overflow in the
-#                                   fault machinery, arena tracking, the
-#                                   schedule IR, the multi-process socket
+#   address    faults, mem, ir, sim, dist, telemetry  (lifetime/overflow in
+#                                   the fault machinery, arena tracking, the
+#                                   schedule IR, the simulator core's flat
+#                                   op/CSR tables, the multi-process socket
 #                                   runtime and the flight-recorder/telemetry
 #                                   ring + wire paths)
-#   undefined  faults, mem, ir, dist, telemetry  (integer/shift UB in the
-#                                   same layers)
+#   undefined  faults, mem, ir, sim, dist, telemetry  (integer/shift UB in
+#                                   the same layers)
 #   thread     threads, dist, telemetry  (the threaded runtime tests; the
 #                                   dist supervisor forks single-threaded
 #                                   workers from the pool-owning parent —
@@ -57,7 +58,7 @@ if [[ "$FAST" -eq 0 ]]; then
     if [[ "$san" == "thread" ]]; then
       labels="threads|dist|telemetry|elastic"
     else
-      labels="faults|mem|ir|dist|telemetry|elastic"
+      labels="faults|mem|ir|sim|dist|telemetry|elastic"
     fi
     echo "== ${san} sanitizer tests (-L '${labels}') =="
     ctest --test-dir "build-${san}" --output-on-failure -j "$JOBS" \
