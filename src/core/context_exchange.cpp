@@ -48,8 +48,7 @@ ExchangePlanner::ExchangePlanner(const sched::PipelineSpec& spec)
   num_shapes_ = steady_ ? 2 * (p_ - 1) + n_ : total + p_ - 1;
   const std::size_t slots = 2 * static_cast<std::size_t>(num_shapes_);
   shape_mean_.reserve(slots);
-  move_start_.reserve(slots * static_cast<std::size_t>(p_) + 1);
-  move_start_.push_back(0);
+  moves_.start.reserve(slots * static_cast<std::size_t>(p_) + 1);
   std::vector<std::vector<Move>> scratch(static_cast<std::size_t>(p_));
   for (const bool forward : {true, false}) {
     for (std::int64_t shape = 0; shape < num_shapes_; ++shape) {
@@ -165,8 +164,8 @@ void ExchangePlanner::balance_shape(std::int64_t tick, bool forward,
   }
   shape_mean_.push_back(mean);
   for (const std::vector<Move>& moves : scratch) {
-    moves_.insert(moves_.end(), moves.begin(), moves.end());
-    move_start_.push_back(static_cast<std::uint32_t>(moves_.size()));
+    moves_.items.insert(moves_.items.end(), moves.begin(), moves.end());
+    moves_.start.push_back(static_cast<std::uint32_t>(moves_.items.size()));
   }
 }
 
@@ -188,8 +187,7 @@ ExchangePlanner::Balance ExchangePlanner::balance(int device,
       static_cast<std::size_t>(shape);
   const std::size_t row =
       slot * static_cast<std::size_t>(p_) + static_cast<std::size_t>(device);
-  out.moves = {moves_.data() + move_start_[row],
-               moves_.data() + move_start_[row + 1]};
+  out.moves = moves_.row(row);
   if (!out.moves.empty()) out.kv_tokens = shape_mean_[slot];
   return out;
 }

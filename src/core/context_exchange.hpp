@@ -24,6 +24,7 @@
 #include "src/model/flops.hpp"
 #include "src/sched/builder.hpp"
 #include "src/sched/schedule.hpp"
+#include "src/util/csr.hpp"
 
 namespace slim::core {
 
@@ -78,12 +79,11 @@ class ExchangePlanner final : public sched::ExchangeOracle {
   model::CostModel cost_;
 
   // Cohort-shape memo: per direction (forward first) and shape, the
-  // cohort's mean load and each device's moves (a CSR row per device).
-  bool steady_ = false;        // the pipeline has a full-cohort range
+  // cohort's mean load and each device's moves.
+  bool steady_ = false;  // the pipeline has a full-cohort range
   std::int64_t num_shapes_ = 0;
-  std::vector<double> shape_mean_;         // [dir][shape]
-  std::vector<std::uint32_t> move_start_;  // [dir][shape][device] + end
-  std::vector<Move> moves_;
+  std::vector<double> shape_mean_;  // [dir][shape]
+  Csr<Move> moves_;                 // row [dir][shape][device]
 };
 
 }  // namespace slim::core
