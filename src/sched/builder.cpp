@@ -196,7 +196,7 @@ BuildOutput compile(const PipelineSpec& spec,
     return static_cast<std::size_t>(mb) * static_cast<std::size_t>(spec.n) +
            static_cast<std::size_t>(slice);
   };
-  auto slot = [&](PassType type, std::int32_t mb, std::int32_t slice,
+  auto op_at = [&](PassType type, std::int32_t mb, std::int32_t slice,
                   int stage) -> sim::OpId& {
     SLIM_CHECK(stage >= 0 && stage < num_stages, "pass stage out of range");
     return index[(static_cast<std::size_t>(type) *
@@ -205,7 +205,7 @@ BuildOutput compile(const PipelineSpec& spec,
                      units +
                  unit_of(mb, slice)];
   };
-  auto vocab_slot = [&](bool forward, std::int32_t mb,
+  auto vocab_op_at = [&](bool forward, std::int32_t mb,
                         std::int32_t slice) -> sim::OpId& {
     return vocab_index[(forward ? units : 0) + unit_of(mb, slice)];
   };
@@ -306,13 +306,13 @@ BuildOutput compile(const PipelineSpec& spec,
                                                sim::OpClass::VocabBackward, {});
         graph.set_tag(vb, pass.microbatch, pass.slice, stage);
         graph.add_mem(vb, {dev, mem::kLogits, -logits_slice, /*at_end=*/true});
-        book(vocab_slot(false, pass.microbatch, pass.slice), vb);
+        book(vocab_op_at(false, pass.microbatch, pass.slice), vb);
         device_ops[static_cast<std::size_t>(dev)].push_back(vb);
       }
 
       const sim::OpId op = graph.add_compute(dev, duration, cls, {});
       graph.set_tag(op, pass.microbatch, pass.slice, stage);
-      book(slot(pass.type, pass.microbatch, pass.slice, stage), op);
+      book(op_at(pass.type, pass.microbatch, pass.slice, stage), op);
       device_ops[static_cast<std::size_t>(dev)].push_back(op);
       if (sliced_attn_pass && !plan.exchanges.empty()) {
         for (const ExchangeOracle::Exchange& ex : plan.exchanges) {
@@ -409,7 +409,7 @@ BuildOutput compile(const PipelineSpec& spec,
                                                {op});
         graph.set_tag(vf, pass.microbatch, pass.slice, stage);
         graph.add_mem(vf, {dev, mem::kLogits, logits_slice, false});
-        book(vocab_slot(true, pass.microbatch, pass.slice), vf);
+        book(vocab_op_at(true, pass.microbatch, pass.slice), vf);
         device_ops[static_cast<std::size_t>(dev)].push_back(vf);
       }
     }
@@ -434,14 +434,12 @@ BuildOutput compile(const PipelineSpec& spec,
   }
 
   // ---- pass 2: dependencies and transfers ----
-  auto find = [&](PassType type, std::int32_t mb, std::int32_t slice,
-                  int stage) { return slot(type, mb, slice, stage); };
 
   for (int dev = 0; dev < spec.p; ++dev) {
     for (const Pass& pass : programs[static_cast<std::size_t>(dev)]) {
       const int stage = layout.stage_of(dev, pass.chunk);
       const double boundary = cost.boundary_bytes(len_of(pass));
-      const sim::OpId op = find(pass.type, pass.microbatch, pass.slice, stage);
+      const sim::OpId op = op_at(pass.type, pass.microbatch, pass.slice, stage);
       SLIM_CHECK(op != sim::kInvalidOp, "op disappeared from index");
 
       // Lane 0: forward activations; lane 1: backward gradients. Distinct
@@ -464,28 +462,30 @@ BuildOutput compile(const PipelineSpec& spec,
       switch (pass.type) {
         case PassType::Forward:
           if (stage > 0) {
-            link_from(find(PassType::Forward, pass.microbatch, pass.slice,
-                           stage - 1),
+            link_from(op_at(PassType::Forward, pass.microbatch, pass.slice,
+                            stage - 1),
                       stage - 1, /*lane=*/0);
           }
           break;
         case PassType::Backward:
         case PassType::BackwardInput: {
           const sim::OpId fwd =
-              find(PassType::Forward, pass.microbatch, pass.slice, stage);
+              op_at(PassType::Forward, pass.microbatch, pass.slice, stage);
           SLIM_CHECK(fwd != sim::kInvalidOp, "backward without forward");
           graph.add_dep(op, fwd);
           if (stage < num_stages - 1) {
             sim::OpId producer =
-                find(pass.type, pass.microbatch, pass.slice, stage + 1);
+                op_at(pass.type, pass.microbatch, pass.slice, stage + 1);
             if (producer == sim::kInvalidOp && pass.type == PassType::Backward) {
-              producer = find(PassType::BackwardInput, pass.microbatch,
-                              pass.slice, stage + 1);
+              producer = op_at(PassType::BackwardInput, pass.microbatch,
+                               pass.slice, stage + 1);
             }
             link_from(producer, stage + 1, /*lane=*/1);
           } else if (!spec.vocab_parallel) {
-            const sim::OpId vf = vocab_slot(true, pass.microbatch, pass.slice);
-            const sim::OpId vb = vocab_slot(false, pass.microbatch, pass.slice);
+            const sim::OpId vf =
+                vocab_op_at(true, pass.microbatch, pass.slice);
+            const sim::OpId vb =
+                vocab_op_at(false, pass.microbatch, pass.slice);
             SLIM_CHECK(vf != sim::kInvalidOp && vb != sim::kInvalidOp,
                        "missing vocabulary ops at last stage");
             graph.add_dep(vb, vf);
@@ -494,8 +494,8 @@ BuildOutput compile(const PipelineSpec& spec,
           break;
         }
         case PassType::BackwardWeight: {
-          const sim::OpId bi = find(PassType::BackwardInput, pass.microbatch,
-                                    pass.slice, stage);
+          const sim::OpId bi = op_at(PassType::BackwardInput, pass.microbatch,
+                                     pass.slice, stage);
           SLIM_CHECK(bi != sim::kInvalidOp, "weight grad without input grad");
           graph.add_dep(op, bi);
           break;
