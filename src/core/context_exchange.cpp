@@ -49,14 +49,13 @@ ExchangePlanner::ExchangePlanner(const sched::PipelineSpec& spec)
   const std::size_t slots = 2 * static_cast<std::size_t>(num_shapes_);
   shape_mean_.reserve(slots);
   moves_.start.reserve(slots * static_cast<std::size_t>(p_) + 1);
-  std::vector<std::vector<Move>> scratch(static_cast<std::size_t>(p_));
+  const std::int64_t steady_end = p_ - 1 + n_;
   for (const bool forward : {true, false}) {
     for (std::int64_t shape = 0; shape < num_shapes_; ++shape) {
-      const std::int64_t steady_end = p_ - 1 + n_;
-      const std::int64_t tick = !steady_ || shape < steady_end
-                                    ? shape
-                                    : total + (shape - steady_end);
-      balance_shape(tick, forward, scratch);
+      balance_shape(!steady_ || shape < steady_end
+                        ? shape
+                        : total + (shape - steady_end),
+                    forward);
     }
   }
 }
@@ -81,8 +80,7 @@ double ExchangePlanner::load_of_stream(std::int64_t x, bool forward) const {
   return model::CostModel::causal_kv_equiv(slice_len_, slice * slice_len_);
 }
 
-void ExchangePlanner::balance_shape(std::int64_t tick, bool forward,
-                                    std::vector<std::vector<Move>>& scratch) {
+void ExchangePlanner::balance_shape(std::int64_t tick, bool forward) {
   // Pipeline tick: forwards flow first-to-last (device i processes stream
   // tick - i), backwards last-to-first (device i processes tick - (p-1-i)).
   const std::int64_t total = static_cast<std::int64_t>(n_) * m_;
@@ -97,7 +95,7 @@ void ExchangePlanner::balance_shape(std::int64_t tick, bool forward,
     if (x < 0 || x >= total) continue;  // warm-up / cool-down: inactive
     cohort.push_back({i, load_of_stream(x, forward)});
   }
-  for (std::vector<Move>& moves : scratch) moves.clear();
+  std::vector<std::vector<Move>> device_moves(static_cast<std::size_t>(p_));
   double mean = 0.0;
   if (cohort.size() >= 2) {
     // Global-mean balancing with a two-pointer transfer plan: the heaviest
@@ -121,8 +119,10 @@ void ExchangePlanner::balance_shape(std::int64_t tick, bool forward,
       const double moved = std::min(deficit, surplus);
       if (moved >= 1.0) {  // below one token: not worth exchanging
         const int heavy = cohort[hi].device, light = cohort[lo].device;
-        scratch[static_cast<std::size_t>(heavy)].push_back({light, moved});
-        scratch[static_cast<std::size_t>(light)].push_back({heavy, -moved});
+        device_moves[static_cast<std::size_t>(heavy)].push_back(
+            {light, moved});
+        device_moves[static_cast<std::size_t>(light)].push_back(
+            {heavy, -moved});
         any = true;
       }
       deficit -= moved;
@@ -158,12 +158,12 @@ void ExchangePlanner::balance_shape(std::int64_t tick, bool forward,
               link_bandwidth_ +
           link_latency_;
       if (comm > 2.0 * saved) {
-        for (std::vector<Move>& moves : scratch) moves.clear();
+        for (std::vector<Move>& moves : device_moves) moves.clear();
       }
     }
   }
   shape_mean_.push_back(mean);
-  for (const std::vector<Move>& moves : scratch) {
+  for (const std::vector<Move>& moves : device_moves) {
     moves_.items.insert(moves_.items.end(), moves.begin(), moves.end());
     moves_.start.push_back(static_cast<std::uint32_t>(moves_.items.size()));
   }

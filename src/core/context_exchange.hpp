@@ -61,8 +61,7 @@ class ExchangePlanner final : public sched::ExchangeOracle {
   std::int64_t shape_of(std::int64_t tick) const;
   /// Balances the cohort of `tick` and appends its memo entry: shapes are
   /// recorded in memo order (forward first, then ascending shape).
-  void balance_shape(std::int64_t tick, bool forward,
-                     std::vector<std::vector<Move>>& scratch);
+  void balance_shape(std::int64_t tick, bool forward);
 
   double load_of_stream(std::int64_t x, bool forward) const;
 
