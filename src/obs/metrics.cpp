@@ -46,8 +46,9 @@ bool is_backward_release_class(sim::OpClass cls) {
   return cls == sim::OpClass::Backward || cls == sim::OpClass::BackwardInput;
 }
 
-/// Replays live-slice counts per device: +1 at each forward start, -1 at the
-/// matching backward end (first release op per (device, mb, slice)). At equal
+/// Replays live-slice counts per device: +1 at each forward start, -1 at
+/// each B or BI end. A unit has exactly one of those per stage, so a device
+/// holding v chunks retires each unit v times, once per forward. At equal
 /// timestamps releases apply before acquisitions — the steady-state 1F1B
 /// handoff frees before it allocates.
 std::vector<int> peak_live_slices(const sim::OpGraph& graph,
@@ -58,35 +59,17 @@ std::vector<int> peak_live_slices(const sim::OpGraph& graph,
     int device;
     int delta;  // -1 sorts before +1 at equal t
   };
-  auto counted = [num_devices](const sim::Op& op) {
-    return op.device >= 0 && op.device < num_devices && op.microbatch >= 0 &&
-           op.slice >= 0;
-  };
-  // Flat (device, microbatch, slice) table of released slices.
-  std::size_t mbs = 0, slices = 0;
-  for (const sim::Op& op : graph.ops()) {
-    if (!counted(op)) continue;
-    mbs = std::max(mbs, static_cast<std::size_t>(op.microbatch) + 1);
-    slices = std::max(slices, static_cast<std::size_t>(op.slice) + 1);
-  }
-  std::vector<std::uint8_t> released(
-      static_cast<std::size_t>(std::max(num_devices, 0)) * mbs * slices, 0);
   std::vector<Ev> events;
   for (const sim::Op& op : graph.ops()) {
-    if (!counted(op)) continue;
+    if (op.device < 0 || op.device >= num_devices || op.microbatch < 0 ||
+        op.slice < 0) {
+      continue;
+    }
     const sim::OpTiming& t = result.timings[static_cast<std::size_t>(op.id)];
     if (is_forward_class(op.cls)) {
       events.push_back({t.start, op.device, +1});
     } else if (is_backward_release_class(op.cls)) {
-      std::uint8_t& done =
-          released[(static_cast<std::size_t>(op.device) * mbs +
-                    static_cast<std::size_t>(op.microbatch)) *
-                       slices +
-                   static_cast<std::size_t>(op.slice)];
-      if (!done) {
-        done = 1;
-        events.push_back({t.end, op.device, -1});
-      }
+      events.push_back({t.end, op.device, -1});
     }
   }
   std::sort(events.begin(), events.end(), [](const Ev& a, const Ev& b) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -18,12 +19,14 @@
 #include <vector>
 
 #include "src/core/runner.hpp"
+#include "src/ir/schedule_ir.hpp"
 #include "src/model/transformer.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/report.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/pipeline_runtime.hpp"
+#include "src/sched/builder.hpp"
 #include "src/sched/schedule.hpp"
 #include "src/sim/executor.hpp"
 #include "src/sim/graph.hpp"
@@ -182,6 +185,65 @@ TEST(MetricsFromSimTest, BreakdownOnHandBuiltGraph) {
   EXPECT_DOUBLE_EQ(t.stages[0].compute_seconds, 1.0);
   EXPECT_DOUBLE_EQ(t.stages[1].compute_seconds, 2.0);
   EXPECT_DOUBLE_EQ(t.makespan, m.makespan);
+}
+
+// Live slices are a pure function of each device's program: a slice unit
+// is live from its forward to its B or BI at the same stage. The simulated
+// count must equal the integer ledger (F +1, B/BI -1) walked over the
+// lowered table, and stay within the scheme's declared in-flight cap.
+TEST(MetricsFromSimTest, LiveSlicesMatchTableLedger) {
+  for (const core::Scheme scheme : core::all_schemes()) {
+    for (const int p : {2, 4}) {
+      for (const int v : {1, 2}) {
+        for (const int m : {p, 2 * p}) {
+          sched::PipelineSpec spec;
+          spec.cfg = model::llama13b();
+          spec.gpu = model::hopper80();
+          spec.shard = {8, 1, 1, 8};
+          spec.p = p;
+          spec.v = v;
+          spec.n = p;
+          spec.m = m;
+          spec.seq = 4 * 8192;
+          const core::SchedulePlan plan = core::plan_scheme(scheme, spec);
+          const sched::BuildOutput built =
+              sched::compile(plan.spec, plan.programs, nullptr);
+          const sim::ExecResult exec = sim::execute(*built.graph);
+          const RunMetrics metrics =
+              metrics_from_sim(*built.graph, exec, plan.spec.p);
+          const ir::ScheduleIR table =
+              ir::lower(plan.spec, plan.programs, core::scheme_name(scheme));
+          std::vector<int> live(static_cast<std::size_t>(p), 0);
+          std::vector<int> peak(static_cast<std::size_t>(p), 0);
+          for (const ir::Row& row : table.rows) {
+            int& units = live[static_cast<std::size_t>(row.device)];
+            if (row.kind == sched::PassType::Forward) ++units;
+            if (row.kind == sched::PassType::Backward ||
+                row.kind == sched::PassType::BackwardInput) {
+              --units;
+            }
+            int& top = peak[static_cast<std::size_t>(row.device)];
+            top = std::max(top, units);
+          }
+          const std::string where = std::string(core::scheme_name(scheme)) +
+                                    " p=" + std::to_string(p) +
+                                    " v=" + std::to_string(plan.spec.v) +
+                                    " m=" + std::to_string(m);
+          ASSERT_EQ(metrics.stages.size(), static_cast<std::size_t>(p));
+          for (int d = 0; d < p; ++d) {
+            const int simulated = metrics.stages[static_cast<std::size_t>(d)]
+                                      .peak_live_slices;
+            EXPECT_EQ(simulated, peak[static_cast<std::size_t>(d)])
+                << where << " dev " << d;
+            EXPECT_LE(simulated, plan.max_inflight_units)
+                << where << " dev " << d;
+            EXPECT_EQ(live[static_cast<std::size_t>(d)], 0)
+                << where << " dev " << d;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(MetricsJsonTest, RoundTrip) {
