@@ -82,28 +82,6 @@ bool is_boundary_kind(PassType kind, bool* forward) {
   return false;  // BackwardWeight exchanges nothing
 }
 
-/// Expected endpoints of a row from the stage boundary it crosses; mirrors
-/// ir::lower so a scheme-lowered table verifies trivially while a corrupted
-/// or hand-written one is checked against the layout.
-void expected_endpoints(const StageLayout& layout, const Row& row,
-                        int* recv_from, int* send_to) {
-  *recv_from = kNoEndpoint;
-  *send_to = kNoEndpoint;
-  bool forward = false;
-  if (!is_boundary_kind(row.kind, &forward)) return;
-  const int num_stages = layout.num_stages();
-  const int up = forward ? row.stage - 1 : row.stage + 1;    // input side
-  const int down = forward ? row.stage + 1 : row.stage - 1;  // output side
-  if (up >= 0 && up < num_stages) {
-    const int peer = layout.device_of(up);
-    if (peer != row.device) *recv_from = peer;
-  }
-  if (down >= 0 && down < num_stages) {
-    const int peer = layout.device_of(down);
-    if (peer != row.device) *send_to = peer;
-  }
-}
-
 }  // namespace
 
 std::vector<mem::MeasuredPeak> MemoryCertificate::measured_peaks() const {
@@ -142,9 +120,16 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
   const int num_stages = layout.num_stages();
 
   // ---- ir-structure: indices, per-device order, stage consistency ----
-  // Kept rows (structurally sound) in per-device program order.
-  std::vector<std::vector<Row>> device_rows(static_cast<std::size_t>(spec.p));
-  for (const Row& row : table.rows) {
+  // Structurally sound rows are read in place through one index, in
+  // (device, order) order; each entry carries the stage the layout assigns.
+  struct Kept {
+    std::uint32_t row;   // index into table.rows
+    std::int32_t stage;  // layout-derived stage
+  };
+  std::vector<Kept> kept;
+  kept.reserve(table.rows.size());
+  for (std::size_t i = 0; i < table.rows.size(); ++i) {
+    const Row& row = table.rows[i];
     if (row.device < 0 || row.device >= spec.p) {
       report("ir-structure", row_location(row),
              "row device outside [0, p=" + std::to_string(spec.p) + ")");
@@ -158,7 +143,6 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
       report("ir-structure", row_location(row), msg.str());
       continue;
     }
-    Row kept = row;
     const int derived =
         layout.stage_of(row.device, static_cast<int>(row.chunk));
     if (row.stage != derived) {
@@ -167,37 +151,47 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
           << "(dev " << row.device << ", chunk " << row.chunk << ") to stage "
           << derived;
       report("ir-structure", row_location(row), msg.str());
-      kept.stage = derived;  // trust the layout for the remaining passes
+      // The remaining passes trust the layout's stage.
     }
-    device_rows[static_cast<std::size_t>(row.device)].push_back(kept);
+    kept.push_back({static_cast<std::uint32_t>(i), derived});
   }
-  for (int dev = 0; dev < spec.p; ++dev) {
-    auto& rows = device_rows[static_cast<std::size_t>(dev)];
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const Row& a, const Row& b) {
-                       return a.order < b.order;
-                     });
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].order != static_cast<int>(i)) {
+  // A canonical table is already in this order; any other is sorted, with
+  // equal (device, order) pairs left in table order.
+  auto before = [&](const Kept& a, const Kept& b) {
+    const Row& x = table.rows[a.row];
+    const Row& y = table.rows[b.row];
+    if (x.device != y.device) return x.device < y.device;
+    if (x.order != y.order) return x.order < y.order;
+    return a.row < b.row;
+  };
+  if (!std::is_sorted(kept.begin(), kept.end(), before)) {
+    std::sort(kept.begin(), kept.end(), before);
+  }
+  // Kept row `i` as the remaining passes see it.
+  auto row_at = [&](std::size_t i) {
+    Row row = table.rows[kept[i].row];
+    row.stage = kept[i].stage;
+    return row;
+  };
+  // Device d's kept rows are kept[first[d], first[d + 1]).
+  std::vector<std::size_t> first(static_cast<std::size_t>(spec.p) + 1, 0);
+  for (const Kept& k : kept) {
+    ++first[static_cast<std::size_t>(table.rows[k.row].device) + 1];
+  }
+  for (std::size_t d = 0; d < static_cast<std::size_t>(spec.p); ++d) {
+    first[d + 1] += first[d];
+  }
+  for (std::size_t d = 0; d < static_cast<std::size_t>(spec.p); ++d) {
+    for (std::size_t i = first[d]; i < first[d + 1]; ++i) {
+      const int order = table.rows[kept[i].row].order;
+      if (order != static_cast<int>(i - first[d])) {
         std::ostringstream msg;
-        msg << "device program order is not contiguous: expected order " << i
-            << ", row declares " << rows[i].order
+        msg << "device program order is not contiguous: expected order "
+            << i - first[d] << ", row declares " << order
             << " (duplicate or gap in the device's clock)";
-        report("ir-structure", row_location(rows[i]), msg.str());
+        report("ir-structure", row_location(row_at(i)), msg.str());
         break;  // one report per device; positions stay usable via sort order
       }
-    }
-  }
-
-  // Flat kept-row array plus per-device position lists for the wait-for
-  // graph and channel matching.
-  std::vector<Row> rows;
-  std::vector<std::vector<std::size_t>> device_pos(
-      static_cast<std::size_t>(spec.p));
-  for (int dev = 0; dev < spec.p; ++dev) {
-    for (const Row& row : device_rows[static_cast<std::size_t>(dev)]) {
-      device_pos[static_cast<std::size_t>(dev)].push_back(rows.size());
-      rows.push_back(row);
     }
   }
 
@@ -209,10 +203,10 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
     std::vector<Comm> recvs;  // receiver program order
   };
   std::map<std::tuple<int, int, int>, Channel> channels;
-  for (std::size_t idx = 0; idx < rows.size(); ++idx) {
-    const Row& row = rows[idx];
-    int want_recv = kNoEndpoint, want_send = kNoEndpoint;
-    expected_endpoints(layout, row, &want_recv, &want_send);
+  for (std::size_t idx = 0; idx < kept.size(); ++idx) {
+    const Row row = row_at(idx);
+    const auto [want_recv, want_send] =
+        ir::endpoints(layout, row.kind, row.device, row.stage);
     if (row.recv_from != want_recv) {
       std::ostringstream msg;
       msg << "row declares recv from "
@@ -272,7 +266,7 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
       const Comm& recv = channel.recvs[i];
       auto it = pending.find(recv.key);
       if (it == pending.end() || it->second == SIZE_MAX) {
-        const Row& row = rows[recv.row];
+        const Row row = row_at(recv.row);
         std::ostringstream msg;
         msg << "dangling recv: no matching " << payload << " send from dev "
             << std::get<0>(key) << " for unit "
@@ -289,7 +283,7 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
     }
     for (std::size_t i = 0; i < channel.sends.size(); ++i) {
       if (consumed[i]) continue;
-      const Row& row = rows[channel.sends[i].row];
+      const Row row = row_at(channel.sends[i].row);
       std::ostringstream msg;
       msg << payload << " send to dev " << std::get<1>(key)
           << " is never received: no matching recv for unit "
@@ -304,8 +298,8 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
     for (std::size_t i = 0; i < channel.recvs.size(); ++i) {
       if (send_of_recv[i] == SIZE_MAX) continue;
       if (have_last && send_of_recv[i] < last) {
-        const Row& row = rows[channel.recvs[i].row];
-        const Row& send_row = rows[channel.sends[send_of_recv[i]].row];
+        const Row row = row_at(channel.recvs[i].row);
+        const Row send_row = row_at(channel.sends[send_of_recv[i]].row);
         std::ostringstream msg;
         msg << "out-of-FIFO receive: this recv matches the " << payload
             << " send posted at " << row_location(send_row)
@@ -336,10 +330,10 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
   };
   std::vector<UnitRows> units(static_cast<std::size_t>(num_stages) *
                               per_stage);
-  for (std::size_t idx = 0; idx < rows.size(); ++idx) {
-    const Row& row = rows[idx];
-    if (row.stage < 0 || row.stage >= num_stages) continue;
-    UnitRows& unit = units[unit_index(row.stage, row.microbatch, row.slice)];
+  for (std::size_t idx = 0; idx < kept.size(); ++idx) {
+    const Row& row = table.rows[kept[idx].row];
+    UnitRows& unit =
+        units[unit_index(kept[idx].stage, row.microbatch, row.slice)];
     std::size_t* first = nullptr;
     switch (row.kind) {
       case PassType::Forward:
@@ -369,14 +363,14 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
   // whether or not adjacent stages share a device, so a V-shape turn (two
   // stages on one device, no message between them) is covered too.
   {
-    const std::size_t n = rows.size();
+    const std::size_t n = kept.size();
     auto wait_for_edges = [&](auto&& emit) {
       auto add_edge = [&](std::size_t from, std::size_t to) {
         if (from != SIZE_MAX && to != SIZE_MAX) emit(from, to);
       };
-      for (const auto& positions : device_pos) {
-        for (std::size_t i = 1; i < positions.size(); ++i) {
-          add_edge(positions[i - 1], positions[i]);
+      for (std::size_t d = 0; d < static_cast<std::size_t>(spec.p); ++d) {
+        for (std::size_t i = first[d] + 1; i < first[d + 1]; ++i) {
+          add_edge(i - 1, i);
         }
       }
       for (const auto& [send, recv] : matched) add_edge(send, recv);
@@ -459,14 +453,14 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
       if (!best.empty()) {
         msg << " (length " << best.size() << "):";
         for (const std::size_t node : best) {
-          msg << " " << row_location(rows[node]) << " ->";
+          msg << " " << row_location(row_at(node)) << " ->";
         }
-        msg << " back to " << row_location(rows[best.front()]);
+        msg << " back to " << row_location(row_at(best.front()));
       } else {
         msg << " not reconstructed";
       }
       const std::size_t anchor = best.empty() ? blocked.front() : best.front();
-      report("verify-deadlock", row_location(rows[anchor]), msg.str());
+      report("verify-deadlock", row_location(row_at(anchor)), msg.str());
     }
   }
 
@@ -555,9 +549,9 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
     for (int dev = 0; dev < spec.p; ++dev) {
       double dev_act = 0.0, dev_kv = 0.0, live_units = 0.0;
       bool over_cap = false;
-      for (const std::size_t idx : device_pos[static_cast<std::size_t>(dev)]) {
-        const Row& row = rows[idx];
-        if (row.stage < 0 || row.stage >= num_stages) continue;
+      for (std::size_t idx = first[static_cast<std::size_t>(dev)];
+           idx < first[static_cast<std::size_t>(dev) + 1]; ++idx) {
+        const Row row = row_at(idx);
         const std::size_t stage = static_cast<std::size_t>(row.stage);
         const double tokens = static_cast<double>(
             slice_layouts[static_cast<std::size_t>(row.microbatch)].len(

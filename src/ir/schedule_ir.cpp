@@ -145,6 +145,18 @@ void ScheduleIR::canonicalize() {
                    });
 }
 
+std::pair<int, int> endpoints(const StageLayout& layout, PassType kind,
+                              int device, int stage) {
+  if (kind == PassType::BackwardWeight) return {kNoEndpoint, kNoEndpoint};
+  auto peer = [&](int neighbour) {
+    if (neighbour < 0 || neighbour >= layout.num_stages()) return kNoEndpoint;
+    const int dev = layout.device_of(neighbour);
+    return dev == device ? kNoEndpoint : dev;
+  };
+  const int step = kind == PassType::Forward ? 1 : -1;
+  return {peer(stage - step), peer(stage + step)};
+}
+
 ScheduleIR lower(const sched::PipelineSpec& spec,
                  const std::vector<sched::DeviceProgram>& programs,
                  const std::string& scheme_name) {
@@ -165,52 +177,34 @@ ScheduleIR lower(const sched::PipelineSpec& spec,
   ir.max_inflight_units = spec.max_inflight_units;
 
   const StageLayout layout = spec.stage_layout();
-  const int num_stages = layout.num_stages();
+  std::size_t num_rows = 0;
+  for (const sched::DeviceProgram& program : programs) {
+    num_rows += program.size();
+  }
+  ir.rows.reserve(num_rows);
+  // Devices in turn, each in program order: the rows come out canonical.
   for (int dev = 0; dev < spec.p; ++dev) {
     const sched::DeviceProgram& program =
         programs[static_cast<std::size_t>(dev)];
     for (std::size_t pos = 0; pos < program.size(); ++pos) {
       const sched::Pass& pass = program[pos];
-      Row row;
-      row.device = dev;
-      row.order = static_cast<int>(pos);
-      row.kind = pass.type;
-      row.microbatch = pass.microbatch;
-      row.slice = pass.slice;
-      row.chunk = pass.chunk;
       // Out-of-range chunks cannot be mapped to a stage; keep the row (the
       // verifier will flag it) with the chunk clamped for stage lookup.
-      const int chunk =
-          std::clamp(static_cast<int>(pass.chunk), 0, spec.v - 1);
-      const int stage = layout.stage_of(dev, chunk);
-      row.stage = stage;
-      // Explicit endpoints from the stage boundary this pass crosses.
-      const bool fwd = pass.type == PassType::Forward;
-      const bool bwd = pass.type == PassType::Backward ||
-                       pass.type == PassType::BackwardInput;
-      if (fwd) {
-        if (stage > 0) {
-          const int peer = layout.device_of(stage - 1);
-          if (peer != dev) row.recv_from = peer;
-        }
-        if (stage < num_stages - 1) {
-          const int peer = layout.device_of(stage + 1);
-          if (peer != dev) row.send_to = peer;
-        }
-      } else if (bwd) {
-        if (stage < num_stages - 1) {
-          const int peer = layout.device_of(stage + 1);
-          if (peer != dev) row.recv_from = peer;
-        }
-        if (stage > 0) {
-          const int peer = layout.device_of(stage - 1);
-          if (peer != dev) row.send_to = peer;
-        }
-      }
-      ir.rows.push_back(row);
+      const int stage = layout.stage_of(
+          dev, std::clamp(static_cast<int>(pass.chunk), 0, spec.v - 1));
+      const auto [recv_from, send_to] =
+          endpoints(layout, pass.type, dev, stage);
+      ir.rows.push_back({.device = dev,
+                         .order = static_cast<int>(pos),
+                         .kind = pass.type,
+                         .microbatch = pass.microbatch,
+                         .slice = pass.slice,
+                         .chunk = pass.chunk,
+                         .stage = stage,
+                         .recv_from = recv_from,
+                         .send_to = send_to});
     }
   }
-  ir.canonicalize();
   return ir;
 }
 

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/model/activation.hpp"
@@ -74,11 +75,17 @@ struct ScheduleIR {
   void canonicalize();
 };
 
-/// Lowers a scheme's per-device programs to the tabular IR. Endpoints are
-/// derived from the spec's stage layout: a forward at stage s receives from
-/// the device holding stage s-1 and sends to the device holding stage s+1
-/// (when those stages live on another device); backwards run the boundary
-/// in reverse; weight-gradient halves exchange nothing.
+/// A row's (recv_from, send_to) from the stage boundary it crosses: a
+/// forward at stage s receives from the device holding stage s-1 and sends
+/// to the device holding stage s+1; B and BI run the boundary in reverse;
+/// BW exchanges nothing. A neighbour stage that does not exist or lives on
+/// `device` itself gives kNoEndpoint. The one endpoint rule: ir::lower
+/// writes it and the verifier checks rows against it.
+std::pair<int, int> endpoints(const sched::StageLayout& layout,
+                              sched::PassType kind, int device, int stage);
+
+/// Lowers a scheme's per-device programs to the tabular IR, emitting rows
+/// in canonical order with endpoints from ir::endpoints.
 ScheduleIR lower(const sched::PipelineSpec& spec,
                  const std::vector<sched::DeviceProgram>& programs,
                  const std::string& scheme_name);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/util/csr.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/units.hpp"
 
@@ -53,38 +54,44 @@ MemoryReport replay_memory(const sim::OpGraph& graph,
   SLIM_CHECK(num_devices > 0, "num_devices must be positive");
   struct Event {
     double time;
-    int device;
-    int category;
     double bytes;
+    int category;
     int op_id;    // tie-break so same-time replays are order-independent
     int seq;      // delta index within the op (ops can carry several)
   };
-  std::size_t num_events = 0;
-  for (const sim::Op& op : graph.ops()) num_events += graph.mem(op.id).size();
-  std::vector<Event> events;
-  events.reserve(num_events);
-  for (const sim::Op& op : graph.ops()) {
-    const sim::OpTiming& t = result.timings[static_cast<std::size_t>(op.id)];
-    int seq = 0;
-    for (const sim::MemDelta& delta : graph.mem(op.id)) {
-      events.push_back(Event{delta.at_end ? t.end : t.start, delta.device,
-                             delta.category, delta.bytes,
-                             static_cast<int>(op.id), seq++});
-    }
-  }
-  // Sort by time with frees applied before allocations at equal timestamps
-  // — matches a caching allocator that reuses the block freed by a backward
-  // for the next forward. Same-time same-sign ties break on (op id, delta
-  // index): the replay is a pure function of the graph, independent of the
+  // Devices replay independently, so each device's events are bucketed and
+  // ordered on their own. Order: by time, with frees applied before
+  // allocations at equal timestamps — matches a caching allocator that
+  // reuses the block freed by a backward for the next forward. Same-time
+  // same-sign ties break on (op id, delta index), which makes the order
+  // total: the replay is a pure function of the graph, independent of the
   // order ops happen to be stored in.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Event& a, const Event& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     const bool a_free = a.bytes < 0.0, b_free = b.bytes < 0.0;
-                     if (a_free != b_free) return a_free;
-                     if (a.op_id != b.op_id) return a.op_id < b.op_id;
-                     return a.seq < b.seq;
-                   });
+  Csr<Event> events = build_csr<Event>(
+      static_cast<std::size_t>(num_devices), [&](auto&& emit) {
+        for (const sim::Op& op : graph.ops()) {
+          const sim::OpTiming& t =
+              result.timings[static_cast<std::size_t>(op.id)];
+          int seq = 0;
+          for (const sim::MemDelta& delta : graph.mem(op.id)) {
+            SLIM_CHECK(delta.device >= 0 && delta.device < num_devices,
+                       "memory event device out of range");
+            emit(static_cast<std::size_t>(delta.device),
+                 Event{delta.at_end ? t.end : t.start, delta.bytes,
+                       delta.category, static_cast<int>(op.id), seq++});
+          }
+        }
+      });
+  for (std::size_t d = 0; d < events.rows(); ++d) {
+    std::sort(events.items.begin() + events.start[d],
+              events.items.begin() + events.start[d + 1],
+              [](const Event& a, const Event& b) {
+                if (a.time != b.time) return a.time < b.time;
+                const bool a_free = a.bytes < 0.0, b_free = b.bytes < 0.0;
+                if (a_free != b_free) return a_free;
+                if (a.op_id != b.op_id) return a.op_id < b.op_id;
+                return a.seq < b.seq;
+              });
+  }
 
   MemoryReport report;
   report.devices.assign(static_cast<std::size_t>(num_devices), DeviceMemory{});
@@ -109,22 +116,22 @@ MemoryReport replay_memory(const sim::OpGraph& graph,
     dev.category_peak = current[static_cast<std::size_t>(d)];
   }
 
-  for (const Event& ev : events) {
-    SLIM_CHECK(ev.device >= 0 && ev.device < num_devices,
-               "memory event device out of range");
-    SLIM_CHECK(ev.category >= 0 && ev.category < kNumCategories,
-               "memory event category out of range");
-    auto& cur = current[static_cast<std::size_t>(ev.device)];
-    cur[static_cast<std::size_t>(ev.category)] += ev.bytes;
-    total[static_cast<std::size_t>(ev.device)] += ev.bytes;
-    DeviceMemory& dev = report.devices[static_cast<std::size_t>(ev.device)];
-    dev.category_peak[static_cast<std::size_t>(ev.category)] =
-        std::max(dev.category_peak[static_cast<std::size_t>(ev.category)],
-                 cur[static_cast<std::size_t>(ev.category)]);
-    if (total[static_cast<std::size_t>(ev.device)] > dev.peak) {
-      dev.peak = total[static_cast<std::size_t>(ev.device)];
-      dev.peak_time = ev.time;
-      dev.at_peak = cur;
+  for (std::size_t d = 0; d < events.rows(); ++d) {
+    DeviceMemory& dev = report.devices[d];
+    std::vector<double>& cur = current[d];
+    for (const Event& ev : events.row(d)) {
+      SLIM_CHECK(ev.category >= 0 && ev.category < kNumCategories,
+                 "memory event category out of range");
+      const auto category = static_cast<std::size_t>(ev.category);
+      cur[category] += ev.bytes;
+      total[d] += ev.bytes;
+      dev.category_peak[category] =
+          std::max(dev.category_peak[category], cur[category]);
+      if (total[d] > dev.peak) {
+        dev.peak = total[d];
+        dev.peak_time = ev.time;
+        dev.at_peak = cur;
+      }
     }
   }
   for (int d = 0; d < num_devices; ++d) {

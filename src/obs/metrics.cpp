@@ -46,43 +46,31 @@ bool is_backward_release_class(sim::OpClass cls) {
   return cls == sim::OpClass::Backward || cls == sim::OpClass::BackwardInput;
 }
 
-/// Replays live-slice counts per device: +1 at each forward start, -1 at
-/// each B or BI end. A unit has exactly one of those per stage, so a device
-/// holding v chunks retires each unit v times, once per forward. At equal
-/// timestamps releases apply before acquisitions — the steady-state 1F1B
-/// handoff frees before it allocates.
+/// Peak live slices per device: +1 at each forward, -1 at each B or BI. A
+/// unit has exactly one of those per stage, so a device holding v chunks
+/// retires each unit v times, once per forward. The count walks each
+/// compute stream's program: a resource runs its ops back to back, so
+/// program order is time order, and a backward that ends when the next
+/// forward starts is released first — the steady-state 1F1B handoff frees
+/// before it allocates.
 std::vector<int> peak_live_slices(const sim::OpGraph& graph,
-                                  const sim::ExecResult& result,
                                   int num_devices) {
-  struct Ev {
-    double t;
-    int device;
-    int delta;  // -1 sorts before +1 at equal t
-  };
-  std::vector<Ev> events;
-  for (const sim::Op& op : graph.ops()) {
-    if (op.device < 0 || op.device >= num_devices || op.microbatch < 0 ||
-        op.slice < 0) {
-      continue;
-    }
-    const sim::OpTiming& t = result.timings[static_cast<std::size_t>(op.id)];
-    if (is_forward_class(op.cls)) {
-      events.push_back({t.start, op.device, +1});
-    } else if (is_backward_release_class(op.cls)) {
-      events.push_back({t.end, op.device, -1});
-    }
-  }
-  std::sort(events.begin(), events.end(), [](const Ev& a, const Ev& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.delta < b.delta;
-  });
   std::vector<int> live(static_cast<std::size_t>(num_devices), 0);
   std::vector<int> peak(static_cast<std::size_t>(num_devices), 0);
-  for (const Ev& ev : events) {
-    live[static_cast<std::size_t>(ev.device)] += ev.delta;
-    peak[static_cast<std::size_t>(ev.device)] =
-        std::max(peak[static_cast<std::size_t>(ev.device)],
-                 live[static_cast<std::size_t>(ev.device)]);
+  for (const std::vector<sim::OpId>& program : graph.programs()) {
+    for (const sim::OpId id : program) {
+      const sim::Op& op = graph.ops()[static_cast<std::size_t>(id)];
+      if (op.device < 0 || op.device >= num_devices || op.microbatch < 0 ||
+          op.slice < 0) {
+        continue;
+      }
+      const auto d = static_cast<std::size_t>(op.device);
+      if (is_forward_class(op.cls)) {
+        peak[d] = std::max(peak[d], ++live[d]);
+      } else if (is_backward_release_class(op.cls)) {
+        --live[d];
+      }
+    }
   }
   return peak;
 }
@@ -121,7 +109,7 @@ RunMetrics metrics_from_sim(const sim::OpGraph& graph,
     }
   }
 
-  const std::vector<int> peaks = peak_live_slices(graph, result, num_devices);
+  const std::vector<int> peaks = peak_live_slices(graph, num_devices);
   for (int d = 0; d < num_devices; ++d) {
     StageMetrics& stage = metrics.stages[static_cast<std::size_t>(d)];
     stage.peak_live_slices = peaks[static_cast<std::size_t>(d)];

@@ -4,8 +4,9 @@
 #include <atomic>
 
 #include "src/analysis/graph_check.hpp"
-#include "src/analysis/schedule_check.hpp"
+#include "src/analysis/verify.hpp"
 #include "src/fault/fault_sim.hpp"
+#include "src/ir/schedule_ir.hpp"
 #include "src/model/activation.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -85,36 +86,35 @@ BuildOutput compile(const PipelineSpec& spec,
                     const ExchangeOracle* exchange) {
   const std::string err = spec.validate();
   SLIM_CHECK(err.empty(), "invalid pipeline spec: " + err);
-  SLIM_CHECK(static_cast<int>(programs.size()) == spec.p,
-             "one program per pipeline device required");
 
-  // ---- static gate: lower to the IR and verify, before any build ----
+  // ---- lower once; the static gate verifies the table the build reads ----
   // A rejected schedule costs nothing, and external (imported) schedules
   // are certified by the same path. The spec carries the scheme's declared
   // in-flight cap (core::plan_scheme fills it in); 0 leaves the cap off.
+  // Each row resolves its stage and inbound endpoint, so the build below
+  // re-derives neither from the layout.
+  const ir::ScheduleIR table = ir::lower(spec, programs, "compile");
   if (compile_lint_enabled()) {
-    analysis::ScheduleLintOptions options;
-    options.max_inflight_units = spec.max_inflight_units;
-    const std::vector<analysis::Finding> findings =
-        analysis::check_schedule(spec, programs, options);
-    if (analysis::has_errors(findings)) {
+    const analysis::VerifyResult verdict = analysis::verify_ir(table, spec);
+    if (!verdict.ok()) {
       SLIM_CHECK(false, "static analysis rejected the schedule:\n" +
-                            analysis::render(findings));
+                            analysis::render(verdict.findings));
     }
   }
+  const std::vector<ir::Row>& rows = table.rows;
 
   const StageLayout layout = spec.stage_layout();
   const int num_stages = layout.num_stages();
   // Per-microbatch slice boundaries; uniform specs resolve to the
   // remainder-distributed token split, so every token is costed.
   const std::vector<core::SliceLayout> slice_layouts = spec.resolved_layouts();
-  auto len_of = [&](const Pass& pass) {
-    return slice_layouts[static_cast<std::size_t>(pass.microbatch)].len(
-        pass.slice);
+  auto len_of = [&](const ir::Row& row) {
+    return slice_layouts[static_cast<std::size_t>(row.microbatch)].len(
+        row.slice);
   };
-  auto prefix_of = [&](const Pass& pass) {
-    return slice_layouts[static_cast<std::size_t>(pass.microbatch)].kv_prefix(
-        pass.slice);
+  auto prefix_of = [&](const ir::Row& row) {
+    return slice_layouts[static_cast<std::size_t>(row.microbatch)].kv_prefix(
+        row.slice);
   };
   const sim::Topology topo = pipeline_topology(spec);
   const model::CostModel cost(spec.cfg, spec.gpu, topo, spec.shard,
@@ -142,19 +142,18 @@ BuildOutput compile(const PipelineSpec& spec,
 
   // Fraction of the (tied, single-copy) vocabulary parameters on a device:
   // the embedding sits with the first stage, the output head with the last.
-  const StageLayout vf_layout = spec.stage_layout();
   auto vocab_fraction_of = [&](int dev) {
     if (spec.vocab_parallel) return 1.0 / static_cast<double>(spec.p);
     double f = 0.0;
-    if (vf_layout.device_of(0) == dev) f += 0.5;
-    if (vf_layout.device_of(vf_layout.num_stages() - 1) == dev) f += 0.5;
+    if (layout.device_of(0) == dev) f += 0.5;
+    if (layout.device_of(layout.num_stages() - 1) == dev) f += 0.5;
     return f;
   };
   // Layers on one device across all its chunks.
   auto layers_of_device = [&](int dev) {
     std::int64_t total = 0;
     for (int chunk = 0; chunk < spec.v; ++chunk) {
-      total += spec.layers_of_stage(vf_layout.stage_of(dev, chunk));
+      total += spec.layers_of_stage(layout.stage_of(dev, chunk));
     }
     return static_cast<double>(total);
   };
@@ -212,8 +211,7 @@ BuildOutput compile(const PipelineSpec& spec,
   auto book = [](sim::OpId& slot_ref, sim::OpId op) {
     if (slot_ref == sim::kInvalidOp) slot_ref = op;
   };
-  std::size_t num_passes = 0;
-  for (const DeviceProgram& program : programs) num_passes += program.size();
+  const std::size_t num_passes = rows.size();
   // Per pass: its op, at most one inbound transfer, one vocabulary op and
   // one PCIe copy; context exchange adds about one transfer per pass.
   graph.reserve(3 * num_passes + static_cast<std::size_t>(spec.p),
@@ -222,12 +220,12 @@ BuildOutput compile(const PipelineSpec& spec,
   std::vector<std::vector<sim::OpId>> device_ops(
       static_cast<std::size_t>(spec.p));
 
-  auto attn_stream = [&](const Pass& pass, bool forward) -> std::int64_t {
+  auto attn_stream = [&](const ir::Row& row, bool forward) -> std::int64_t {
     if (forward) {
-      return static_cast<std::int64_t>(pass.microbatch) * spec.n + pass.slice;
+      return static_cast<std::int64_t>(row.microbatch) * spec.n + row.slice;
     }
-    return static_cast<std::int64_t>(pass.microbatch) * spec.n +
-           (spec.n - 1 - pass.slice);
+    return static_cast<std::int64_t>(row.microbatch) * spec.n +
+           (spec.n - 1 - row.slice);
   };
 
   struct ExchangeRef {
@@ -239,28 +237,31 @@ BuildOutput compile(const PipelineSpec& spec,
   std::vector<ExchangeRef> exchange_refs;
   std::vector<double> exchange_sent(static_cast<std::size_t>(spec.p), 0.0);
 
-  // ---- pass 1: compute ops in program order ----
+  // ---- pass 1: compute ops, device by device in program order ----
+  std::size_t next_row = 0;
   for (int dev = 0; dev < spec.p; ++dev) {
-    for (const Pass& pass : programs[static_cast<std::size_t>(dev)]) {
-      const int stage = layout.stage_of(dev, pass.chunk);
+    for (; next_row < rows.size() && rows[next_row].device == dev;
+         ++next_row) {
+      const ir::Row& row = rows[next_row];
+      const int stage = row.stage;
       const std::int64_t stage_layers = spec.layers_of_stage(stage);
-      const std::int64_t slice_len = len_of(pass);
-      const std::int64_t kv_prefix = prefix_of(pass);
+      const std::int64_t slice_len = len_of(row);
+      const std::int64_t kv_prefix = prefix_of(row);
       const double logits_slice = logits_slice_of(slice_len);
       const double vf_time = vf_time_of(slice_len);
       const double vb_time = vb_time_of(slice_len);
       ExchangeOracle::PassPlan plan;
       const bool sliced_attn_pass =
-          exchange != nullptr && (pass.type == PassType::Forward ||
-                                  pass.type == PassType::Backward);
+          exchange != nullptr && (row.kind == PassType::Forward ||
+                                  row.kind == PassType::Backward);
       if (sliced_attn_pass) {
-        plan = exchange->plan(dev, attn_stream(pass, pass.type == PassType::Forward),
-                              pass.type == PassType::Forward);
+        const bool forward = row.kind == PassType::Forward;
+        plan = exchange->plan(dev, attn_stream(row, forward), forward);
       }
 
       double duration = 0.0;
       sim::OpClass cls = sim::OpClass::Forward;
-      switch (pass.type) {
+      switch (row.kind) {
         case PassType::Forward: {
           cls = sim::OpClass::Forward;
           const double attn =
@@ -299,20 +300,20 @@ BuildOutput compile(const PipelineSpec& spec,
 
       // Non-parallel vocabulary: backward of the last stage is preceded by
       // the vocabulary/loss backward on the same device.
-      const bool is_backward_kind = pass.type == PassType::Backward ||
-                                    pass.type == PassType::BackwardInput;
+      const bool is_backward_kind = row.kind == PassType::Backward ||
+                                    row.kind == PassType::BackwardInput;
       if (!spec.vocab_parallel && is_backward_kind && stage == num_stages - 1) {
         const sim::OpId vb = graph.add_compute(dev, vb_time,
                                                sim::OpClass::VocabBackward, {});
-        graph.set_tag(vb, pass.microbatch, pass.slice, stage);
+        graph.set_tag(vb, row.microbatch, row.slice, stage);
         graph.add_mem(vb, {dev, mem::kLogits, -logits_slice, /*at_end=*/true});
-        book(vocab_op_at(false, pass.microbatch, pass.slice), vb);
+        book(vocab_op_at(false, row.microbatch, row.slice), vb);
         device_ops[static_cast<std::size_t>(dev)].push_back(vb);
       }
 
       const sim::OpId op = graph.add_compute(dev, duration, cls, {});
-      graph.set_tag(op, pass.microbatch, pass.slice, stage);
-      book(op_at(pass.type, pass.microbatch, pass.slice, stage), op);
+      graph.set_tag(op, row.microbatch, row.slice, stage);
+      book(op_at(row.kind, row.microbatch, row.slice, stage), op);
       device_ops[static_cast<std::size_t>(dev)].push_back(op);
       if (sliced_attn_pass && !plan.exchanges.empty()) {
         for (const ExchangeOracle::Exchange& ex : plan.exchanges) {
@@ -333,24 +334,24 @@ BuildOutput compile(const PipelineSpec& spec,
       const double act_host = spec.offload.host_bytes(act_full);
       const double kv_host = spec.offload.host_bytes(kv_full);
       const bool offloading = spec.offload.enabled() &&
-                              (pass.type == PassType::Forward ||
-                               pass.type == PassType::Backward);
+                              (row.kind == PassType::Forward ||
+                               row.kind == PassType::Backward);
       const double pcie_time =
           (act_host + kv_host) / spec.offload.pcie_bandwidth;
-      switch (pass.type) {
+      switch (row.kind) {
         case PassType::Forward: {
           graph.add_mem(op, {dev, mem::kActivation, act_full, false});
           if (kv_full > 0.0) {
             graph.add_mem(op, {dev, kv_category, kv_full, false});
           }
-          if (spec.vocab_parallel && pass.chunk == spec.v - 1) {
+          if (spec.vocab_parallel && row.chunk == spec.v - 1) {
             graph.add_mem(op, {dev, mem::kLogits, logits_slice, true});
           }
           if (offloading) {
             const sim::OpId store = graph.add_on_resource(
                 graph.pcie_resource(dev), dev, pcie_time, sim::OpClass::Other,
                 {op});
-            graph.set_tag(store, pass.microbatch, pass.slice, stage);
+            graph.set_tag(store, row.microbatch, row.slice, stage);
             graph.add_mem(store, {dev, mem::kActivation, -act_host, true});
             if (kv_host > 0.0) {
               graph.add_mem(store, {dev, kv_category, -kv_host, true});
@@ -367,7 +368,7 @@ BuildOutput compile(const PipelineSpec& spec,
                 graph.pcie_resource(dev), dev, pcie_time, sim::OpClass::Other,
                 {});
             if (own.size() >= 2) graph.add_dep(prefetch, own[own.size() - 2]);
-            graph.set_tag(prefetch, pass.microbatch, pass.slice, stage);
+            graph.set_tag(prefetch, row.microbatch, row.slice, stage);
             graph.add_mem(prefetch, {dev, mem::kActivation, act_host, false});
             if (kv_host > 0.0) {
               graph.add_mem(prefetch, {dev, kv_category, kv_host, false});
@@ -378,7 +379,7 @@ BuildOutput compile(const PipelineSpec& spec,
           if (kv_full > 0.0) {
             graph.add_mem(op, {dev, kv_category, -kv_full, true});
           }
-          if (spec.vocab_parallel && pass.chunk == spec.v - 1) {
+          if (spec.vocab_parallel && row.chunk == spec.v - 1) {
             graph.add_mem(op, {dev, mem::kLogits, -logits_slice, false});
           }
           break;
@@ -391,7 +392,7 @@ BuildOutput compile(const PipelineSpec& spec,
           }
           // The input-gradient half retires the slice, so it also frees
           // the sharded logits the vocab-parallel forward booked.
-          if (spec.vocab_parallel && pass.chunk == spec.v - 1) {
+          if (spec.vocab_parallel && row.chunk == spec.v - 1) {
             graph.add_mem(op, {dev, mem::kLogits, -logits_slice, false});
           }
           break;
@@ -402,14 +403,14 @@ BuildOutput compile(const PipelineSpec& spec,
 
       // Non-parallel vocabulary: forward of the last stage is followed by
       // the output GEMM + loss on the same device.
-      if (!spec.vocab_parallel && pass.type == PassType::Forward &&
+      if (!spec.vocab_parallel && row.kind == PassType::Forward &&
           stage == num_stages - 1) {
         const sim::OpId vf = graph.add_compute(dev, vf_time,
                                                sim::OpClass::VocabForward,
                                                {op});
-        graph.set_tag(vf, pass.microbatch, pass.slice, stage);
+        graph.set_tag(vf, row.microbatch, row.slice, stage);
         graph.add_mem(vf, {dev, mem::kLogits, logits_slice, false});
-        book(vocab_op_at(true, pass.microbatch, pass.slice), vf);
+        book(vocab_op_at(true, row.microbatch, row.slice), vf);
         device_ops[static_cast<std::size_t>(dev)].push_back(vf);
       }
     }
@@ -434,72 +435,72 @@ BuildOutput compile(const PipelineSpec& spec,
   }
 
   // ---- pass 2: dependencies and transfers ----
+  for (const ir::Row& row : rows) {
+    const int dev = row.device;
+    const int stage = row.stage;
+    const double boundary = cost.boundary_bytes(len_of(row));
+    const sim::OpId op = op_at(row.kind, row.microbatch, row.slice, stage);
+    SLIM_CHECK(op != sim::kInvalidOp, "op disappeared from index");
 
-  for (int dev = 0; dev < spec.p; ++dev) {
-    for (const Pass& pass : programs[static_cast<std::size_t>(dev)]) {
-      const int stage = layout.stage_of(dev, pass.chunk);
-      const double boundary = cost.boundary_bytes(len_of(pass));
-      const sim::OpId op = op_at(pass.type, pass.microbatch, pass.slice, stage);
-      SLIM_CHECK(op != sim::kInvalidOp, "op disappeared from index");
+    // The producer's output arrives over the row's inbound endpoint, or
+    // locally when it has none. Lane 0: forward activations; lane 1:
+    // backward gradients. Distinct lanes mirror the separate
+    // communicators a real stack uses and keep unrelated traffic from
+    // serializing.
+    auto link_from = [&](sim::OpId producer, int lane) {
+      SLIM_CHECK(producer != sim::kInvalidOp,
+                 "missing producer pass for stage dependency");
+      if (row.recv_from == ir::kNoEndpoint) {
+        graph.add_dep(op, producer);
+      } else {
+        const sim::OpId xfer =
+            graph.add_transfer(row.recv_from, dev, boundary,
+                               sim::OpClass::Send, {producer}, lane);
+        graph.set_tag(xfer, row.microbatch, row.slice, stage);
+        graph.add_dep(op, xfer);
+      }
+    };
 
-      // Lane 0: forward activations; lane 1: backward gradients. Distinct
-      // lanes mirror the separate communicators a real stack uses and keep
-      // unrelated traffic from serializing.
-      auto link_from = [&](sim::OpId producer, int producer_stage, int lane) {
-        SLIM_CHECK(producer != sim::kInvalidOp,
-                   "missing producer pass for stage dependency");
-        const int src = layout.device_of(producer_stage);
-        if (src == dev) {
-          graph.add_dep(op, producer);
-        } else {
-          const sim::OpId xfer = graph.add_transfer(
-              src, dev, boundary, sim::OpClass::Send, {producer}, lane);
-          graph.set_tag(xfer, pass.microbatch, pass.slice, stage);
-          graph.add_dep(op, xfer);
+    switch (row.kind) {
+      case PassType::Forward:
+        if (stage > 0) {
+          link_from(op_at(PassType::Forward, row.microbatch, row.slice,
+                          stage - 1),
+                    /*lane=*/0);
         }
-      };
-
-      switch (pass.type) {
-        case PassType::Forward:
-          if (stage > 0) {
-            link_from(op_at(PassType::Forward, pass.microbatch, pass.slice,
-                            stage - 1),
-                      stage - 1, /*lane=*/0);
+        break;
+      case PassType::Backward:
+      case PassType::BackwardInput: {
+        const sim::OpId fwd =
+            op_at(PassType::Forward, row.microbatch, row.slice, stage);
+        SLIM_CHECK(fwd != sim::kInvalidOp, "backward without forward");
+        graph.add_dep(op, fwd);
+        if (stage < num_stages - 1) {
+          sim::OpId producer =
+              op_at(row.kind, row.microbatch, row.slice, stage + 1);
+          if (producer == sim::kInvalidOp && row.kind == PassType::Backward) {
+            producer = op_at(PassType::BackwardInput, row.microbatch,
+                             row.slice, stage + 1);
           }
-          break;
-        case PassType::Backward:
-        case PassType::BackwardInput: {
-          const sim::OpId fwd =
-              op_at(PassType::Forward, pass.microbatch, pass.slice, stage);
-          SLIM_CHECK(fwd != sim::kInvalidOp, "backward without forward");
-          graph.add_dep(op, fwd);
-          if (stage < num_stages - 1) {
-            sim::OpId producer =
-                op_at(pass.type, pass.microbatch, pass.slice, stage + 1);
-            if (producer == sim::kInvalidOp && pass.type == PassType::Backward) {
-              producer = op_at(PassType::BackwardInput, pass.microbatch,
-                               pass.slice, stage + 1);
-            }
-            link_from(producer, stage + 1, /*lane=*/1);
-          } else if (!spec.vocab_parallel) {
-            const sim::OpId vf =
-                vocab_op_at(true, pass.microbatch, pass.slice);
-            const sim::OpId vb =
-                vocab_op_at(false, pass.microbatch, pass.slice);
-            SLIM_CHECK(vf != sim::kInvalidOp && vb != sim::kInvalidOp,
-                       "missing vocabulary ops at last stage");
-            graph.add_dep(vb, vf);
-            graph.add_dep(op, vb);
-          }
-          break;
+          link_from(producer, /*lane=*/1);
+        } else if (!spec.vocab_parallel) {
+          const sim::OpId vf =
+              vocab_op_at(true, row.microbatch, row.slice);
+          const sim::OpId vb =
+              vocab_op_at(false, row.microbatch, row.slice);
+          SLIM_CHECK(vf != sim::kInvalidOp && vb != sim::kInvalidOp,
+                     "missing vocabulary ops at last stage");
+          graph.add_dep(vb, vf);
+          graph.add_dep(op, vb);
         }
-        case PassType::BackwardWeight: {
-          const sim::OpId bi = op_at(PassType::BackwardInput, pass.microbatch,
-                                     pass.slice, stage);
-          SLIM_CHECK(bi != sim::kInvalidOp, "weight grad without input grad");
-          graph.add_dep(op, bi);
-          break;
-        }
+        break;
+      }
+      case PassType::BackwardWeight: {
+        const sim::OpId bi = op_at(PassType::BackwardInput, row.microbatch,
+                                   row.slice, stage);
+        SLIM_CHECK(bi != sim::kInvalidOp, "weight grad without input grad");
+        graph.add_dep(op, bi);
+        break;
       }
     }
   }
