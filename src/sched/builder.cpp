@@ -216,9 +216,13 @@ BuildOutput compile(const PipelineSpec& spec,
   // one PCIe copy; context exchange adds about one transfer per pass.
   graph.reserve(3 * num_passes + static_cast<std::size_t>(spec.p),
                 3 * num_passes, 3 * num_passes);
-  // Compute ops per device in creation order (for exchange "previous op").
-  std::vector<std::vector<sim::OpId>> device_ops(
-      static_cast<std::size_t>(spec.p));
+  // The current device's two latest compute ops, older first: the launch
+  // anchors of offload prefetches and exchange transfers.
+  sim::OpId recent[2];
+  auto push_recent = [&](sim::OpId op) {
+    recent[0] = recent[1];
+    recent[1] = op;
+  };
 
   auto attn_stream = [&](const ir::Row& row, bool forward) -> std::int64_t {
     if (forward) {
@@ -228,18 +232,20 @@ BuildOutput compile(const PipelineSpec& spec,
            (spec.n - 1 - row.slice);
   };
 
-  struct ExchangeRef {
-    sim::OpId op;
-    int device;
-    std::size_t pos;  // index of `op` in device_ops[device]
-    ExchangeOracle::PassPlan plan;
+  // Context-exchange payloads into a pass, added after every pass op.
+  struct Inbound {
+    sim::OpId op;      // receiving pass
+    sim::OpId anchor;  // launch anchor, or kInvalidOp
+    int partner;
+    double bytes;
   };
-  std::vector<ExchangeRef> exchange_refs;
+  std::vector<Inbound> inbound;
   std::vector<double> exchange_sent(static_cast<std::size_t>(spec.p), 0.0);
 
   // ---- pass 1: compute ops, device by device in program order ----
   std::size_t next_row = 0;
   for (int dev = 0; dev < spec.p; ++dev) {
+    recent[0] = recent[1] = sim::kInvalidOp;
     for (; next_row < rows.size() && rows[next_row].device == dev;
          ++next_row) {
       const ir::Row& row = rows[next_row];
@@ -308,20 +314,24 @@ BuildOutput compile(const PipelineSpec& spec,
         graph.set_tag(vb, row.microbatch, row.slice, stage);
         graph.add_mem(vb, {dev, mem::kLogits, -logits_slice, /*at_end=*/true});
         book(vocab_op_at(false, row.microbatch, row.slice), vb);
-        device_ops[static_cast<std::size_t>(dev)].push_back(vb);
+        push_recent(vb);
       }
 
       const sim::OpId op = graph.add_compute(dev, duration, cls, {});
       graph.set_tag(op, row.microbatch, row.slice, stage);
       book(op_at(row.kind, row.microbatch, row.slice, stage), op);
-      device_ops[static_cast<std::size_t>(dev)].push_back(op);
-      if (sliced_attn_pass && !plan.exchanges.empty()) {
-        for (const ExchangeOracle::Exchange& ex : plan.exchanges) {
-          exchange_sent[static_cast<std::size_t>(dev)] += ex.send_bytes;
-        }
-        exchange_refs.push_back(
-            {op, dev, device_ops[static_cast<std::size_t>(dev)].size() - 1,
-             std::move(plan)});
+      // "Early Key-Value Exchange" (§5): the payload is mostly KV of
+      // *earlier* slices, so it can launch two ops ahead and overlap with
+      // the previous op's compute.
+      const sim::OpId anchor =
+          recent[0] != sim::kInvalidOp ? recent[0] : recent[1];
+      push_recent(op);
+      for (const ExchangeOracle::Exchange& ex : plan.exchanges) {
+        exchange_sent[static_cast<std::size_t>(dev)] += ex.send_bytes;
+        if (ex.recv_bytes <= 0.0) continue;
+        SLIM_CHECK(ex.partner >= 0 && ex.partner < spec.p,
+                   "bad exchange partner");
+        inbound.push_back({op, anchor, ex.partner, ex.recv_bytes});
       }
 
       // Memory deltas. With offloading enabled, the forward allocates the
@@ -363,11 +373,12 @@ BuildOutput compile(const PipelineSpec& spec,
           if (offloading) {
             // Prefetch launched from two passes back so it overlaps; the
             // backward waits for it.
-            const auto& own = device_ops[static_cast<std::size_t>(dev)];
             const sim::OpId prefetch = graph.add_on_resource(
                 graph.pcie_resource(dev), dev, pcie_time, sim::OpClass::Other,
                 {});
-            if (own.size() >= 2) graph.add_dep(prefetch, own[own.size() - 2]);
+            if (recent[0] != sim::kInvalidOp) {
+              graph.add_dep(prefetch, recent[0]);
+            }
             graph.set_tag(prefetch, row.microbatch, row.slice, stage);
             graph.add_mem(prefetch, {dev, mem::kActivation, act_host, false});
             if (kv_host > 0.0) {
@@ -411,7 +422,7 @@ BuildOutput compile(const PipelineSpec& spec,
         graph.set_tag(vf, row.microbatch, row.slice, stage);
         graph.add_mem(vf, {dev, mem::kLogits, logits_slice, false});
         book(vocab_op_at(true, row.microbatch, row.slice), vf);
-        device_ops[static_cast<std::size_t>(dev)].push_back(vf);
+        push_recent(vf);
       }
     }
 
@@ -513,29 +524,14 @@ BuildOutput compile(const PipelineSpec& spec,
   // (balanced) pipeline the partner's previous pass ends at the same tick
   // as the receiver's, so the receiver's own previous op is used as the
   // launch anchor — this keeps the graph acyclic by construction.
-  for (const ExchangeRef& ref : exchange_refs) {
-    const auto& own_ops = device_ops[static_cast<std::size_t>(ref.device)];
-    // "Early Key-Value Exchange" (§5): the payload is mostly KV of
-    // *earlier* slices, so it can launch two passes ahead and overlap
-    // with the previous pass's compute.
-    sim::OpId anchor = sim::kInvalidOp;
-    if (ref.pos >= 2) {
-      anchor = own_ops[ref.pos - 2];
-    } else if (ref.pos == 1) {
-      anchor = own_ops[0];
-    }
-    for (const ExchangeOracle::Exchange& ex : ref.plan.exchanges) {
-      if (ex.recv_bytes <= 0.0) continue;
-      SLIM_CHECK(ex.partner >= 0 && ex.partner < spec.p,
-                 "bad exchange partner");
-      const sim::OpId xfer = graph.add_transfer(
-          ex.partner, ref.device, ex.recv_bytes, sim::OpClass::ExchangeSend,
-          {}, /*lane=*/2);
-      if (anchor != sim::kInvalidOp) graph.add_dep(xfer, anchor);
-      const sim::Op& main_op = graph.op(ref.op);
-      graph.set_tag(xfer, main_op.microbatch, main_op.slice, main_op.stage);
-      graph.add_dep(ref.op, xfer);
-    }
+  for (const Inbound& in : inbound) {
+    const sim::Op receiver = graph.op(in.op);
+    const sim::OpId xfer =
+        graph.add_transfer(in.partner, receiver.device, in.bytes,
+                           sim::OpClass::ExchangeSend, {}, /*lane=*/2);
+    if (in.anchor != sim::kInvalidOp) graph.add_dep(xfer, in.anchor);
+    graph.set_tag(xfer, receiver.microbatch, receiver.slice, receiver.stage);
+    graph.add_dep(in.op, xfer);
   }
   output.exchange_bytes_max_device =
       *std::max_element(exchange_sent.begin(), exchange_sent.end());
