@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -388,6 +389,67 @@ TEST(IrStructure, DuplicateOrderFlagged) {
   const analysis::VerifyResult verdict = analysis::verify_ir(table, plan.spec);
   EXPECT_TRUE(has_rule(verdict.findings, "ir-structure"))
       << analysis::render(verdict.findings);
+}
+
+// ---------------------------------------------------------------------------
+// Row order: sched::compile hands verify_ir canonical tables only, but
+// imported and hand-written tables may list rows in any order. The verdict
+// must not depend on it.
+
+void expect_same_verdict(const analysis::VerifyResult& a,
+                         const analysis::VerifyResult& b,
+                         const std::string& label) {
+  EXPECT_EQ(analysis::render(a.findings), analysis::render(b.findings))
+      << label;
+  const analysis::MemoryCertificate& x = a.certificate;
+  const analysis::MemoryCertificate& y = b.certificate;
+  EXPECT_EQ(x.kv_category, y.kv_category) << label;
+  ASSERT_EQ(x.stages.size(), y.stages.size()) << label;
+  for (std::size_t i = 0; i < x.stages.size(); ++i) {
+    EXPECT_EQ(x.stages[i].stage, y.stages[i].stage) << label;
+    EXPECT_EQ(x.stages[i].device, y.stages[i].device) << label;
+    EXPECT_EQ(x.stages[i].unit_bytes, y.stages[i].unit_bytes) << label;
+    EXPECT_EQ(x.stages[i].peak_bytes, y.stages[i].peak_bytes) << label;
+  }
+  EXPECT_EQ(x.device_activation_peak, y.device_activation_peak) << label;
+  EXPECT_EQ(x.device_kv_peak, y.device_kv_peak) << label;
+  EXPECT_EQ(x.device_peak, y.device_peak) << label;
+}
+
+TEST(VerifyRowOrder, ShuffledRowsGiveSameVerdict) {
+  sched::PipelineSpec spec = base_spec(4, 4, 8);
+  spec.v = 2;
+  const core::SchedulePlan plan =
+      core::plan_scheme(core::Scheme::SlimPipe, spec);
+  const ScheduleIR clean = lower_plan(plan, core::Scheme::SlimPipe);
+
+  // Orphaned backward: device 0's first forward turned into a backward.
+  ScheduleIR orphaned = clean;
+  ASSERT_EQ(orphaned.rows[0].kind, PassType::Forward);
+  orphaned.rows[0].kind = PassType::Backward;
+  // Dropped send: device 1's first forward no longer ships its output.
+  ScheduleIR dropped = clean;
+  const auto it = std::find_if(
+      dropped.rows.begin(), dropped.rows.end(), [](const Row& row) {
+        return row.device == 1 && row.kind == PassType::Forward;
+      });
+  ASSERT_NE(it, dropped.rows.end());
+  it->send_to = kNoEndpoint;
+
+  std::mt19937 rng(20251019);
+  const std::pair<const ScheduleIR*, const char*> cases[] = {
+      {&clean, "clean"}, {&orphaned, "orphaned"}, {&dropped, "dropped"}};
+  for (const auto& [table, label] : cases) {
+    const analysis::VerifyResult canonical =
+        analysis::verify_ir(*table, plan.spec);
+    EXPECT_EQ(canonical.ok(), table == &clean)
+        << label << ": " << analysis::render(canonical.findings);
+    ScheduleIR shuffled = *table;
+    std::shuffle(shuffled.rows.begin(), shuffled.rows.end(), rng);
+    ASSERT_NE(shuffled.rows, table->rows) << label;
+    expect_same_verdict(canonical, analysis::verify_ir(shuffled, plan.spec),
+                        label);
+  }
 }
 
 // ---------------------------------------------------------------------------

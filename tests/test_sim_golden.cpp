@@ -206,10 +206,7 @@ struct SchemePin {
   std::uint64_t b;
 };
 
-// Pinned digests per scheme at point A and point B. The plans with v > 1
-// (interleaved, the V-shapes, SlimPipe at point B) were re-pinned when
-// peak_live_slices began retiring a unit once per stage instead of once
-// per device; every other folded output of those runs was unchanged.
+// Pinned digests per scheme at point A and point B.
 const SchemePin kSchemePins[] = {
     {core::Scheme::GPipe, 0x15fa13f38970590bull, 0x0954c18c22ee9a48ull},
     {core::Scheme::TeraPipe, 0x8a44ada1afd2febfull, 0xf9b487287899044aull},
