@@ -14,26 +14,156 @@ namespace slim::num {
 namespace {
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
-// Query rows per chunk. Rows are independent in the forward (each owns its
-// own online-softmax state) so chunks write disjoint rows; the backward's
-// dk/dv reductions keep per-chunk partials folded in chunk order.
-constexpr std::int64_t kQueryGrain = 8;
+// Query rows per chunk: one tile. Rows are independent in the forward (each
+// owns its own online-softmax state) so chunks write disjoint rows; the
+// backward's dk/dv reductions keep per-chunk partials folded in chunk order.
+constexpr std::int64_t kQueryGrain = simd::kTile;
 
 util::ThreadPool& pool() { return util::ThreadPool::global(); }
+
+/// Folds partial b (normalized output, max, normalizer of one query row)
+/// into the running row a: the online-softmax merge. Rows with l == 0 have
+/// no visible keys.
+void merge_row(float* a_out, float& a_m, float& a_l, const float* b_out,
+               float b_m, float b_l, std::int64_t d) {
+  if (b_l == 0.0f) {
+    if (a_l == 0.0f) {
+      std::fill(a_out, a_out + d, 0.0f);
+      a_m = kNegInf;
+      a_l = 0.0f;
+    }
+    return;
+  }
+  if (a_l == 0.0f) {
+    std::copy(b_out, b_out + d, a_out);
+    a_m = b_m;
+    a_l = b_l;
+    return;
+  }
+  const float m = std::max(a_m, b_m);
+  const float wa = a_l * std::exp(a_m - m);
+  const float wb = b_l * std::exp(b_m - m);
+  const float l = wa + wb;
+  for (std::int64_t c = 0; c < d; ++c) {
+    a_out[c] = (a_out[c] * wa + b_out[c] * wb) / l;
+  }
+  a_m = m;
+  a_l = l;
 }
+
+/// One KV chunk by reference.
+struct KvView {
+  const Tensor& k;
+  const Tensor& v;
+  std::int64_t pos;
+};
+}  // namespace
 
 namespace simd {
 
 namespace {
 
-/// mᵀ as doubles, keys padded to `keys_padded` with zeros: out[c*keys_padded
-/// + j] = m(j, c). The attention dots read it one vector of keys at a time.
-void pack_transposed(const Tensor& m, std::int64_t keys_padded, double* out) {
+/// mᵀ as doubles: out[c*m.rows() + j] = m(j, c). The score kernel reads it
+/// one key block at a time.
+void pack_transposed(const Tensor& m, double* out) {
   for (std::int64_t c = 0; c < m.cols(); ++c) {
-    double* row = out + c * keys_padded;
+    double* row = out + c * m.rows();
     for (std::int64_t j = 0; j < m.rows(); ++j) row[j] = m.at(j, c);
-    for (std::int64_t j = m.rows(); j < keys_padded; ++j) row[j] = 0.0;
   }
+}
+
+/// Rows i0 .. i0+rows-1 of x as a transposed double tile: out[c*kTile + r]
+/// = x(i0 + r, c), zero for the rows past `rows`.
+void pack_tile(const Tensor& x, std::int64_t i0, std::int64_t rows,
+               double* out) {
+  for (std::int64_t c = 0; c < x.cols(); ++c) {
+    for (std::int64_t r = 0; r < kTile; ++r) {
+      out[c * kTile + r] = r < rows ? x.at(i0 + r, c) : 0.0;
+    }
+  }
+}
+
+/// Keys of a chunk at `pos` (kv long) visible to query rows i0 ..
+/// i0+rows-1 at q_offset; 0 for the rows past `rows`. Returns the largest.
+std::int64_t visible_keys(std::int64_t q_offset, std::int64_t i0,
+                          std::int64_t rows, std::int64_t pos,
+                          std::int64_t kv, std::int64_t* visible) {
+  std::int64_t hi = 0;
+  for (std::int64_t r = 0; r < kTile; ++r) {
+    visible[r] = r < rows ? std::clamp<std::int64_t>(
+                                q_offset + i0 + r - pos + 1, 0, kv)
+                          : 0;
+    hi = std::max(hi, visible[r]);
+  }
+  return hi;
+}
+
+/// Streamed forward: each query tile runs over every chunk and folds the
+/// chunk's partial into its running rows in place, with merge_row.
+AttnPartial streamed_forward(Isa isa, const Tensor& q,
+                             const std::vector<KvView>& chunks,
+                             std::int64_t q_offset, float scale) {
+  const std::int64_t s = q.rows(), dk = q.cols();
+  const std::int64_t d = chunks.empty() ? q.cols() : chunks[0].v.cols();
+  std::int64_t total_keys = 0, max_keys = 0;
+  for (const KvView& chunk : chunks) {
+    SLIM_CHECK(q.cols() == chunk.k.cols(), "q/k head-dim mismatch");
+    SLIM_CHECK(chunk.k.rows() == chunk.v.rows(), "k/v length mismatch");
+    SLIM_CHECK(chunk.v.cols() == d, "chunk value widths differ");
+    total_keys += chunk.k.rows();
+    max_keys = std::max(max_keys, chunk.k.rows());
+  }
+  AttnPartial acc;
+  acc.out = Tensor(s, d);
+  acc.m.assign(static_cast<std::size_t>(s), kNegInf);
+  acc.l.assign(static_cast<std::size_t>(s), 0.0f);
+
+  const Kernels& kern = kernels(isa);
+  // Every chunk's Kᵀ, packed once for all query tiles.
+  WorkspaceLease<double> kt(dk * total_keys);
+  std::vector<double*> chunk_kt;
+  double* next = kt.data();
+  for (const KvView& chunk : chunks) {
+    pack_transposed(chunk.k, next);
+    chunk_kt.push_back(next);
+    next += dk * chunk.k.rows();
+  }
+
+  pool().parallel_for(0, s, kQueryGrain, [&](std::int64_t i0,
+                                             std::int64_t i1) {
+    const std::int64_t rows = i1 - i0;
+    // Tile scratch from this worker's reusable workspace: every slot a
+    // kernel reads is written first, so no zeroing is needed (the partial
+    // output is zeroed per chunk: accumulate adds into it).
+    WorkspaceLease<double> qt(dk * kTile);
+    WorkspaceLease<float> w(max_keys * kTile);
+    WorkspaceLease<float> part(kTile * d);
+    pack_tile(q, i0, rows, qt.data());
+    for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
+      const KvView& chunk = chunks[ci];
+      std::int64_t visible[kTile];
+      const std::int64_t keys = visible_keys(q_offset, i0, rows, chunk.pos,
+                                             chunk.k.rows(), visible);
+      if (keys == 0) continue;
+      kern.scores(qt.data(), chunk_kt[ci], chunk.k.rows(), dk, keys, scale,
+                  w.data());
+      float m[kTile], l[kTile];
+      kern.softmax(w.data(), keys, visible, m, l);
+      std::fill(part.data(), part.data() + rows * d, 0.0f);
+      kern.accumulate(w.data(), visible, rows, chunk.v.data(), d, d,
+                      part.data(), d);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        if (visible[r] == 0) continue;
+        float* out = part.data() + r * d;
+        const float inv_l = 1.0f / l[r];
+        for (std::int64_t c = 0; c < d; ++c) out[c] *= inv_l;
+        const std::size_t i = static_cast<std::size_t>(i0 + r);
+        merge_row(acc.out.data() + (i0 + r) * d, acc.m[i], acc.l[i], out,
+                  m[r], l[r], d);
+      }
+    }
+  });
+  return acc;
 }
 
 }  // namespace
@@ -41,49 +171,18 @@ void pack_transposed(const Tensor& m, std::int64_t keys_padded, double* out) {
 AttnPartial attn_partial(Isa isa, const Tensor& q, const Tensor& k,
                          const Tensor& v, std::int64_t q_offset,
                          std::int64_t k_offset, float scale) {
-  SLIM_CHECK(q.cols() == k.cols(), "q/k head-dim mismatch");
-  SLIM_CHECK(k.rows() == v.rows(), "k/v length mismatch");
-  const std::int64_t s = q.rows(), kv = k.rows(), dk = q.cols(),
-                     d = v.cols();
-  AttnPartial part;
-  part.out = Tensor(s, d);
-  part.m.assign(static_cast<std::size_t>(s), kNegInf);
-  part.l.assign(static_cast<std::size_t>(s), 0.0f);
+  return streamed_forward(isa, q, {{k, v, k_offset}}, q_offset, scale);
+}
 
-  const Kernels& kern = kernels(isa);
-  const std::int64_t kvp = padded_keys(kv);
-  WorkspaceLease<double> kt(dk * kvp);
-  pack_transposed(k, kvp, kt.data());
-
-  pool().parallel_for(0, s, kQueryGrain, [&](std::int64_t i0,
-                                             std::int64_t i1) {
-    // Score-row scratch from this worker's reusable workspace: every slot
-    // the row reads is written first, so no zeroing is needed.
-    WorkspaceLease<float> scores(kvp);
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const std::int64_t visible =
-          std::clamp<std::int64_t>(q_offset + i - k_offset + 1, 0, kv);
-      if (visible == 0) continue;
-      // Row scores (double dots, vectorized across keys) and max.
-      kern.dots(q.data() + i * dk, kt.data(), kvp, dk, padded_keys(visible),
-                scale, scores.data());
-      float m = kNegInf;
-      for (std::int64_t j = 0; j < visible; ++j) m = std::max(m, scores[j]);
-      double l = 0.0;
-      for (std::int64_t j = 0; j < visible; ++j) {
-        const float w = std::exp(scores[j] - m);
-        l += w;
-        scores[j] = w;
-      }
-      float* out = part.out.data() + i * d;
-      kern.accumulate(scores.data(), v.data(), d, visible, d, out);
-      const float inv_l = 1.0f / static_cast<float>(l);
-      for (std::int64_t c = 0; c < d; ++c) out[c] *= inv_l;
-      part.m[static_cast<std::size_t>(i)] = m;
-      part.l[static_cast<std::size_t>(i)] = static_cast<float>(l);
-    }
-  });
-  return part;
+AttnPartial attn_streamed(Isa isa, const Tensor& q,
+                          const std::vector<KvChunk>& chunks,
+                          std::int64_t q_offset, float scale) {
+  std::vector<KvView> views;
+  views.reserve(chunks.size());
+  for (const KvChunk& chunk : chunks) {
+    views.push_back({chunk.k, chunk.v, chunk.pos});
+  }
+  return streamed_forward(isa, q, views, q_offset, scale);
 }
 
 }  // namespace simd
@@ -99,38 +198,14 @@ AttnPartial attn_merge(const AttnPartial& a, const AttnPartial& b) {
   SLIM_CHECK(a.q_len() == b.q_len() && a.out.cols() == b.out.cols(),
              "merge shape mismatch");
   const std::int64_t s = a.q_len(), d = a.out.cols();
-  AttnPartial out;
-  out.out = Tensor(s, d);
-  out.m.assign(static_cast<std::size_t>(s), kNegInf);
-  out.l.assign(static_cast<std::size_t>(s), 0.0f);
+  AttnPartial out = a;
   pool().parallel_for(0, s, kQueryGrain, [&](std::int64_t i0,
                                              std::int64_t i1) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const std::size_t si = static_cast<std::size_t>(i);
-    const float la = a.l[si], lb = b.l[si];
-    if (la == 0.0f && lb == 0.0f) continue;
-    if (la == 0.0f) {
-      out.m[si] = b.m[si];
-      out.l[si] = lb;
-      for (std::int64_t c = 0; c < d; ++c) out.out.at(i, c) = b.out.at(i, c);
-      continue;
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const std::size_t si = static_cast<std::size_t>(i);
+      merge_row(out.out.data() + i * d, out.m[si], out.l[si],
+                b.out.data() + i * d, b.m[si], b.l[si], d);
     }
-    if (lb == 0.0f) {
-      out.m[si] = a.m[si];
-      out.l[si] = la;
-      for (std::int64_t c = 0; c < d; ++c) out.out.at(i, c) = a.out.at(i, c);
-      continue;
-    }
-    const float m = std::max(a.m[si], b.m[si]);
-    const float wa = la * std::exp(a.m[si] - m);
-    const float wb = lb * std::exp(b.m[si] - m);
-    const float l = wa + wb;
-    for (std::int64_t c = 0; c < d; ++c) {
-      out.out.at(i, c) = (a.out.at(i, c) * wa + b.out.at(i, c) * wb) / l;
-    }
-    out.m[si] = m;
-    out.l[si] = l;
-  }
   });
   return out;
 }
@@ -199,18 +274,7 @@ void attn_reference_bwd(const Tensor& q, const Tensor& k, const Tensor& v,
 
 AttnPartial attn_streamed(const Tensor& q, const std::vector<KvChunk>& chunks,
                           std::int64_t q_offset, float scale) {
-  AttnPartial acc;
-  acc.out = Tensor(q.rows(), chunks.empty() ? q.cols() : chunks[0].v.cols());
-  acc.m.assign(static_cast<std::size_t>(q.rows()), kNegInf);
-  acc.l.assign(static_cast<std::size_t>(q.rows()), 0.0f);
-  bool first = true;
-  for (const KvChunk& chunk : chunks) {
-    AttnPartial part =
-        attn_partial(q, chunk.k, chunk.v, q_offset, chunk.pos, scale);
-    acc = first ? std::move(part) : attn_merge(acc, part);
-    first = false;
-  }
-  return acc;
+  return simd::attn_streamed(simd::active_isa(), q, chunks, q_offset, scale);
 }
 
 namespace simd {
@@ -229,16 +293,19 @@ void attn_streamed_bwd(Isa isa, const Tensor& q,
   const Kernels& kern = kernels(isa);
   // D_i = dout_i . out_i — the flash-attention rowsum shortcut that spares
   // a second pass over all chunks. Workspace-leased: every slot is written
-  // by the parallel pass before any chunk loop reads it.
+  // by the parallel pass before any chunk loop reads it. The tile's rows
+  // run side by side, each summing in ascending c.
   WorkspaceLease<float> D(s);
   pool().parallel_for(0, s, kQueryGrain,
                       [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      double sum = 0.0;
-      for (std::int64_t c = 0; c < d; ++c) {
-        sum += static_cast<double>(dout.at(i, c)) * fwd.out.at(i, c);
+    double sum[kTile] = {};
+    for (std::int64_t c = 0; c < d; ++c) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        sum[i - i0] += static_cast<double>(dout.at(i, c)) * fwd.out.at(i, c);
       }
-      D[i] = static_cast<float>(sum);
+    }
+    for (std::int64_t i = i0; i < i1; ++i) {
+      D[i] = static_cast<float>(sum[i - i0]);
     }
   });
 
@@ -251,11 +318,10 @@ void attn_streamed_bwd(Isa isa, const Tensor& q,
     const std::int64_t kv = chunk.k.rows();
     const std::int64_t kc = chunk.k.cols(), vc = chunk.v.cols();
     SLIM_CHECK(vc == d, "chunk value width must match the output's");
-    const std::int64_t kvp = padded_keys(kv);
-    WorkspaceLease<double> kt(kc * kvp);
-    WorkspaceLease<double> vt(vc * kvp);
-    pack_transposed(chunk.k, kvp, kt.data());
-    pack_transposed(chunk.v, kvp, vt.data());
+    WorkspaceLease<double> kt(kc * kv);
+    WorkspaceLease<double> vt(vc * kv);
+    pack_transposed(chunk.k, kt.data());
+    pack_transposed(chunk.v, vt.data());
     // dq rows are disjoint across query chunks; dk/dv reduce over query
     // rows, so each query chunk accumulates into its own partial slab and
     // the slabs fold in ascending chunk order below — the thread-count
@@ -272,39 +338,41 @@ void attn_streamed_bwd(Isa isa, const Tensor& q,
       float* dvp = dv_partials.data() + qc * kv * vc;
       std::memset(dkp, 0, static_cast<std::size_t>(kv * kc) * sizeof(float));
       std::memset(dvp, 0, static_cast<std::size_t>(kv * vc) * sizeof(float));
-      // Per-key probabilities p and score gradients ds of one query row.
-      WorkspaceLease<float> rows(2 * kvp);
-      float* p = rows.data();
-      float* ds = p + kvp;
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const std::size_t si = static_cast<std::size_t>(i);
-        if (fwd.l[si] == 0.0f) continue;
-        const std::int64_t visible =
-            std::clamp<std::int64_t>(q_offset + i - chunk.pos + 1, 0, kv);
-        if (visible == 0) continue;
-        const float inv_l = 1.0f / fwd.l[si];
-        const float* q_row = q.data() + i * kc;
-        const float* dout_row = dout.data() + i * d;
-        // Scaled scores into p, dout . v into ds (double dots).
-        kern.dots(q_row, kt.data(), kvp, kc, padded_keys(visible), scale, p);
-        kern.dots(dout_row, vt.data(), kvp, d, padded_keys(visible), 1.0f,
-                  ds);
-        for (std::int64_t j = 0; j < visible; ++j) {
-          const float pj = std::exp(p[j] - fwd.m[si]) * inv_l;
-          p[j] = pj;
-          ds[j] = pj * (ds[j] - D[i]) * scale;
-        }
-        kern.accumulate(ds, chunk.k.data(), kc, visible, kc,
-                        dq.data() + i * kc);
-        kern.rank1(ds, q_row, visible, kc, dkp, kc);
-        kern.rank1(p, dout_row, visible, d, dvp, vc);
+      const std::int64_t rows = i1 - i0;
+      // Rows without visible keys anywhere (l == 0) take no part.
+      std::int64_t visible[kTile];
+      visible_keys(q_offset, i0, rows, chunk.pos, kv, visible);
+      float m[kTile] = {}, inv_l[kTile] = {}, Dr[kTile] = {};
+      std::int64_t keys = 0;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const std::size_t i = static_cast<std::size_t>(i0 + r);
+        if (fwd.l[i] == 0.0f) visible[r] = 0;
+        if (visible[r] == 0) continue;
+        m[r] = fwd.m[i];
+        inv_l[r] = 1.0f / fwd.l[i];
+        Dr[r] = D[i0 + r];
+        keys = std::max(keys, visible[r]);
       }
+      if (keys == 0) return;
+      // Scaled scores into p, dout . v into ds (double dots), then the
+      // probabilities and score gradients of the tile.
+      WorkspaceLease<double> xt(std::max(kc, d) * kTile);
+      WorkspaceLease<float> tiles(2 * keys * kTile);
+      float* p = tiles.data();
+      float* ds = p + keys * kTile;
+      pack_tile(q, i0, rows, xt.data());
+      kern.scores(xt.data(), kt.data(), kv, kc, keys, scale, p);
+      pack_tile(dout, i0, rows, xt.data());
+      kern.scores(xt.data(), vt.data(), kv, d, keys, 1.0f, ds);
+      kern.probs(p, ds, keys, m, inv_l, Dr, scale);
+      kern.accumulate(ds, visible, rows, chunk.k.data(), kc, kc,
+                      dq.data() + i0 * kc, kc);
+      kern.rank1(ds, visible, rows, q.data() + i0 * kc, kc, kc, dkp, kc);
+      kern.rank1(p, visible, rows, dout.data() + i0 * d, d, d, dvp, vc);
     });
     for (std::int64_t qc = 0; qc < n_qchunks; ++qc) {
-      const float* dkp = dk_partials.data() + qc * kv * kc;
-      const float* dvp = dv_partials.data() + qc * kv * vc;
-      for (std::int64_t e = 0; e < kv * kc; ++e) dk.data()[e] += dkp[e];
-      for (std::int64_t e = 0; e < kv * vc; ++e) dv.data()[e] += dvp[e];
+      kern.add(dk.data(), dk_partials.data() + qc * kv * kc, kv * kc);
+      kern.add(dv.data(), dv_partials.data() + qc * kv * vc, kv * vc);
     }
   }
 }

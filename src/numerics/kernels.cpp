@@ -1,5 +1,7 @@
 #include "src/numerics/kernels.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "src/util/logging.hpp"
@@ -63,8 +65,9 @@ template <int kBytes, int kRows, int kVecs>
   }
 }
 
-// Tile height: AVX-512's 32 registers hold an 8-row tile, the 16 of the
-// narrower ISAs a 4-row one.
+// Tile height (GEMM rows, attention tile rows per register block):
+// AVX-512's 32 registers hold an 8-row tile, the 16 of the narrower ISAs a
+// 4-row one.
 template <int kBytes>
 constexpr int kTileRows = kBytes >= 64 ? 8 : 4;
 
@@ -125,116 +128,332 @@ template <int kBytes>
 }
 
 // ---- attention -------------------------------------------------------------
+//
+// Attention works on tiles of kTile query rows. Score tiles are key-major
+// (one 8-lane vector per key), so the per-row running max and normalizer
+// fold every row in key order while the rows run side by side.
 
-// kVecs double vectors of keys starting at key j.
-template <int kBytes, int kVecs>
-[[gnu::always_inline]] inline void dots_block(const float* x, const double* mt,
-                                              std::int64_t ld, std::int64_t dim,
-                                              std::int64_t j, float scale,
-                                              float* out) {
-  using D = typename Vec<kBytes>::D;
-  using FOfD = typename Vec<kBytes>::FOfD;
-  constexpr int kL = Vec<kBytes>::kDoubles;
-  D acc[kVecs] = {};
+typedef float F8 __attribute__((vector_size(4 * kTile)));
+typedef double D8 __attribute__((vector_size(8 * kTile)));
+typedef std::int32_t I8 __attribute__((vector_size(4 * kTile)));
+typedef std::int64_t L8 __attribute__((vector_size(8 * kTile)));
+
+// Lanes r with j < visible[r].
+[[gnu::always_inline]] inline void visible_lanes(const L8& visible,
+                                                 std::int64_t j, I8& f) {
+  const L8 jv = L8{} + j;
+  const L8 d = jv < visible;
+  f = __builtin_convertvector(d, I8);
+}
+
+[[gnu::always_inline]] inline void exp_lanes(F8& y, const F8& x) {
+  for (int r = 0; r < kTile; ++r) y[r] = std::exp(x[r]);
+}
+
+// kN keys starting at key j, each an 8-lane double sum over the tile rows.
+template <int kN>
+[[gnu::always_inline]] inline void scores_block(const double* xt,
+                                                const double* mt,
+                                                std::int64_t ld,
+                                                std::int64_t dim,
+                                                std::int64_t j, float scale,
+                                                float* s) {
+  D8 acc[kN] = {};
   for (std::int64_t c = 0; c < dim; ++c) {
-    const double xc = static_cast<double>(x[c]);
+    D8 xv;
+    load(xv, xt + c * kTile);
     const double* row = mt + c * ld + j;
 #pragma GCC unroll 8
-    for (int v = 0; v < kVecs; ++v) {
-      D mv;
-      load(mv, row + v * kL);
-      acc[v] = acc[v] + mv * xc;
-    }
+    for (int n = 0; n < kN; ++n) acc[n] = acc[n] + xv * row[n];
   }
 #pragma GCC unroll 8
-  for (int v = 0; v < kVecs; ++v) {
-    const FOfD f = __builtin_convertvector(acc[v], FOfD) * scale;
-    store(out + j + v * kL, f);
+  for (int n = 0; n < kN; ++n) {
+    const F8 f = __builtin_convertvector(acc[n], F8) * scale;
+    store(s + (j + n) * kTile, f);
   }
 }
 
 template <int kBytes>
-[[gnu::always_inline]] inline void dots_impl(const float* x, const double* mt,
-                                             std::int64_t ld, std::int64_t dim,
-                                             std::int64_t keys, float scale,
-                                             float* out) {
-  constexpr int kL = Vec<kBytes>::kDoubles;
-  static_assert(kKeyBlock % kL == 0, "key block must hold whole vectors");
-  // Wide blocks keep several independent sums in flight.
-  constexpr int kWide = 4 * kL > 16 ? 4 * kL : 16;
+[[gnu::always_inline]] inline void scores_impl(const double* xt,
+                                               const double* mt,
+                                               std::int64_t ld,
+                                               std::int64_t dim,
+                                               std::int64_t keys, float scale,
+                                               float* s) {
+  // As many keys in flight as one register's worth of doubles: eight
+  // register-sized accumulators on every ISA.
+  constexpr int kN = Vec<kBytes>::kDoubles;
   std::int64_t j = 0;
-  for (; j + kWide <= keys; j += kWide) {
-    dots_block<kBytes, kWide / kL>(x, mt, ld, dim, j, scale, out);
+  for (; j + kN <= keys; j += kN) {
+    scores_block<kN>(xt, mt, ld, dim, j, scale, s);
   }
-  for (; j < keys; j += kKeyBlock) {
-    dots_block<kBytes, kKeyBlock / kL>(x, mt, ld, dim, j, scale, out);
+  for (; j < keys; ++j) scores_block<1>(xt, mt, ld, dim, j, scale, s);
+}
+
+[[gnu::always_inline]] inline void softmax_impl(float* s, std::int64_t keys,
+                                                const std::int64_t* visible,
+                                                float* m_out, float* l_out) {
+  L8 vis;
+  load(vis, visible);
+  std::int64_t common = keys;
+  for (int r = 0; r < kTile; ++r) common = std::min(common, visible[r]);
+  // Keys past a row's visible prefix enter its max as −inf and its sum as
+  // +0, both exact identities, so the folds need no branches.
+  const F8 neg_inf = F8{} - __builtin_huge_valf();
+  F8 m = neg_inf;
+  for (std::int64_t j = 0; j < keys; ++j) {
+    F8 sv;
+    load(sv, s + j * kTile);
+    if (j >= common) {
+      I8 f;
+      visible_lanes(vis, j, f);
+      sv = f ? sv : neg_inf;
+    }
+    m = m < sv ? sv : m;
+  }
+  D8 l = {};
+  for (std::int64_t j = 0; j < keys; ++j) {
+    F8 w;
+    load(w, s + j * kTile);
+    w = w - m;
+    exp_lanes(w, w);
+    if (j >= common) {
+      I8 f;
+      visible_lanes(vis, j, f);
+      w = f ? w : F8{};
+    }
+    store(s + j * kTile, w);
+    l = l + __builtin_convertvector(w, D8);
+  }
+  store(m_out, m);
+  store(l_out, __builtin_convertvector(l, F8));
+}
+
+[[gnu::always_inline]] inline void probs_impl(float* p, float* ds,
+                                              std::int64_t keys,
+                                              const float* m,
+                                              const float* inv_l,
+                                              const float* D, float scale) {
+  F8 mv, il, dv;
+  load(mv, m);
+  load(il, inv_l);
+  load(dv, D);
+  for (std::int64_t j = 0; j < keys; ++j) {
+    F8 pv, dsv;
+    load(pv, p + j * kTile);
+    load(dsv, ds + j * kTile);
+    pv = pv - mv;
+    exp_lanes(pv, pv);
+    pv = pv * il;
+    dsv = pv * (dsv - dv) * scale;
+    store(p + j * kTile, pv);
+    store(ds + j * kTile, dsv);
   }
 }
 
-template <int kBytes, int kVecs>
-[[gnu::always_inline]] inline void accumulate_block(const float* w,
-                                                    const float* m,
-                                                    std::int64_t ld,
-                                                    std::int64_t keys,
-                                                    float* y) {
-  using F = typename Vec<kBytes>::F;
-  constexpr int kW = Vec<kBytes>::kFloats;
-  F acc[kVecs];
+// The smallest and largest visible count of kRows tile rows.
+template <int kRows>
+[[gnu::always_inline]] inline void visible_range(const std::int64_t* visible,
+                                                 std::int64_t& lo,
+                                                 std::int64_t& hi) {
+  lo = hi = visible[0];
+  for (int r = 1; r < kRows; ++r) {
+    lo = std::min(lo, visible[r]);
+    hi = std::max(hi, visible[r]);
+  }
+}
+
+// kRows rows x kVecs vectors of y held in registers while the keys run
+// ascending; each row stops at its own visible count.
+template <int kBytes, int kRows, int kVecs>
+struct AccumulateBlock {
+  // Rows r0 .. r0+kRows-1 of the tile.
+  [[gnu::always_inline]] static void run(std::int64_t r0, const float* w,
+                                         const std::int64_t* visible,
+                                         const float* m, std::int64_t ld,
+                                         float* y, std::int64_t ldy) {
+    w += r0;
+    visible += r0;
+    y += r0 * ldy;
+    using F = typename Vec<kBytes>::F;
+    constexpr int kW = Vec<kBytes>::kFloats;
+    std::int64_t lo, hi;
+    visible_range<kRows>(visible, lo, hi);
+    F acc[kRows][kVecs];
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
 #pragma GCC unroll 4
-  for (int v = 0; v < kVecs; ++v) load(acc[v], y + v * kW);
-  for (std::int64_t j = 0; j < keys; ++j) {
-    const float wj = w[j];
+      for (int v = 0; v < kVecs; ++v) load(acc[r][v], y + r * ldy + v * kW);
+    }
+    for (std::int64_t j = 0; j < hi; ++j) {
+      F mv[kVecs];
 #pragma GCC unroll 4
-    for (int v = 0; v < kVecs; ++v) {
-      F mv;
-      load(mv, m + j * ld + v * kW);
-      acc[v] = acc[v] + mv * wj;
+      for (int v = 0; v < kVecs; ++v) load(mv[v], m + j * ld + v * kW);
+      const float* wj = w + j * kTile;
+      if (j < lo) {
+#pragma GCC unroll 8
+        for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 4
+          for (int v = 0; v < kVecs; ++v) {
+            acc[r][v] = acc[r][v] + mv[v] * wj[r];
+          }
+        }
+      } else {
+#pragma GCC unroll 8
+        for (int r = 0; r < kRows; ++r) {
+          if (j >= visible[r]) continue;
+#pragma GCC unroll 4
+          for (int v = 0; v < kVecs; ++v) {
+            acc[r][v] = acc[r][v] + mv[v] * wj[r];
+          }
+        }
+      }
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 4
+      for (int v = 0; v < kVecs; ++v) store(y + r * ldy + v * kW, acc[r][v]);
     }
   }
+};
+
+template <int kBytes, int kRows, int kVecs>
+struct Rank1Block {
+  // Rows r0 .. r0+kRows-1 of the tile.
+  [[gnu::always_inline]] static void run(std::int64_t r0, const float* s,
+                                         const std::int64_t* visible,
+                                         const float* x, std::int64_t ldx,
+                                         float* y, std::int64_t ld) {
+    s += r0;
+    visible += r0;
+    x += r0 * ldx;
+    using F = typename Vec<kBytes>::F;
+    constexpr int kW = Vec<kBytes>::kFloats;
+    std::int64_t lo, hi;
+    visible_range<kRows>(visible, lo, hi);
+    F xv[kRows][kVecs];
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
 #pragma GCC unroll 4
-  for (int v = 0; v < kVecs; ++v) store(y + v * kW, acc[v]);
+      for (int v = 0; v < kVecs; ++v) load(xv[r][v], x + r * ldx + v * kW);
+    }
+    for (std::int64_t j = 0; j < hi; ++j) {
+      F acc[kVecs];
+#pragma GCC unroll 4
+      for (int v = 0; v < kVecs; ++v) load(acc[v], y + j * ld + v * kW);
+      const float* sj = s + j * kTile;
+      if (j < lo) {
+#pragma GCC unroll 8
+        for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 4
+          for (int v = 0; v < kVecs; ++v) acc[v] = acc[v] + xv[r][v] * sj[r];
+        }
+      } else {
+#pragma GCC unroll 8
+        for (int r = 0; r < kRows; ++r) {
+          if (j >= visible[r]) continue;
+#pragma GCC unroll 4
+          for (int v = 0; v < kVecs; ++v) acc[v] = acc[v] + xv[r][v] * sj[r];
+        }
+      }
+#pragma GCC unroll 4
+      for (int v = 0; v < kVecs; ++v) store(y + j * ld + v * kW, acc[v]);
+    }
+  }
+};
+
+// All rows of one column block, kTileRows at a time like gemm_panel, then
+// the row tail; `Block` is AccumulateBlock or Rank1Block. Rows stay in
+// ascending order, which rank1's per-element sums rely on.
+template <int kBytes, int kVecs, template <int, int, int> class Block,
+          typename... Args>
+[[gnu::always_inline]] inline void tile_rows(std::int64_t rows,
+                                             Args... args) {
+  constexpr int kRows = kTileRows<kBytes>;
+  std::int64_t r = 0;
+  for (; r + kRows <= rows; r += kRows) {
+    Block<kBytes, kRows, kVecs>::run(r, args...);
+  }
+  if (kRows > 4 && rows - r >= 4) {
+    Block<kBytes, 4, kVecs>::run(r, args...);
+    r += 4;
+  }
+  if (rows - r >= 2) {
+    Block<kBytes, 2, kVecs>::run(r, args...);
+    r += 2;
+  }
+  if (rows - r >= 1) Block<kBytes, 1, kVecs>::run(r, args...);
 }
 
 template <int kBytes>
-[[gnu::always_inline]] inline void accumulate_impl(const float* w,
-                                                   const float* m,
-                                                   std::int64_t ld,
-                                                   std::int64_t keys,
-                                                   std::int64_t dim, float* y) {
+[[gnu::always_inline]] inline void accumulate_impl(
+    const float* w, const std::int64_t* visible, std::int64_t rows,
+    const float* m, std::int64_t ld, std::int64_t dim, float* y,
+    std::int64_t ldy) {
   constexpr int kW = Vec<kBytes>::kFloats;
   std::int64_t c = 0;
   for (; c + 2 * kW <= dim; c += 2 * kW) {
-    accumulate_block<kBytes, 2>(w, m + c, ld, keys, y + c);
+    tile_rows<kBytes, 2, AccumulateBlock>(rows, w, visible, m + c, ld, y + c,
+                                          ldy);
   }
   for (; c + kW <= dim; c += kW) {
-    accumulate_block<kBytes, 1>(w, m + c, ld, keys, y + c);
+    tile_rows<kBytes, 1, AccumulateBlock>(rows, w, visible, m + c, ld, y + c,
+                                          ldy);
   }
+  // Column tail narrower than one vector: the same chains, one element at
+  // a time.
   for (; c < dim; ++c) {
-    float acc = y[c];
-    for (std::int64_t j = 0; j < keys; ++j) acc = acc + w[j] * m[j * ld + c];
-    y[c] = acc;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      float acc = y[r * ldy + c];
+      for (std::int64_t j = 0; j < visible[r]; ++j) {
+        acc = acc + w[j * kTile + r] * m[j * ld + c];
+      }
+      y[r * ldy + c] = acc;
+    }
   }
 }
 
 template <int kBytes>
-[[gnu::always_inline]] inline void rank1_impl(const float* s, const float* x,
-                                              std::int64_t keys,
+[[gnu::always_inline]] inline void rank1_impl(const float* s,
+                                              const std::int64_t* visible,
+                                              std::int64_t rows,
+                                              const float* x, std::int64_t ldx,
                                               std::int64_t dim, float* y,
                                               std::int64_t ld) {
+  constexpr int kW = Vec<kBytes>::kFloats;
+  std::int64_t c = 0;
+  for (; c + 2 * kW <= dim; c += 2 * kW) {
+    tile_rows<kBytes, 2, Rank1Block>(rows, s, visible, x + c, ldx, y + c, ld);
+  }
+  for (; c + kW <= dim; c += kW) {
+    tile_rows<kBytes, 1, Rank1Block>(rows, s, visible, x + c, ldx, y + c, ld);
+  }
+  std::int64_t hi = 0;
+  for (std::int64_t r = 0; r < rows; ++r) hi = std::max(hi, visible[r]);
+  for (; c < dim; ++c) {
+    for (std::int64_t j = 0; j < hi; ++j) {
+      float acc = y[j * ld + c];
+      for (std::int64_t r = 0; r < rows; ++r) {
+        if (j < visible[r]) acc = acc + s[j * kTile + r] * x[r * ldx + c];
+      }
+      y[j * ld + c] = acc;
+    }
+  }
+}
+
+template <int kBytes>
+[[gnu::always_inline]] inline void add_impl(float* y, const float* x,
+                                            std::int64_t n) {
   using F = typename Vec<kBytes>::F;
   constexpr int kW = Vec<kBytes>::kFloats;
-  for (std::int64_t j = 0; j < keys; ++j) {
-    const float sj = s[j];
-    float* row = y + j * ld;
-    std::int64_t c = 0;
-    for (; c + kW <= dim; c += kW) {
-      F yv, xv;
-      load(yv, row + c);
-      load(xv, x + c);
-      store(row + c, yv + sj * xv);
-    }
-    for (; c < dim; ++c) row[c] = row[c] + sj * x[c];
+  std::int64_t e = 0;
+  for (; e + kW <= n; e += kW) {
+    F yv, xv;
+    load(yv, y + e);
+    load(xv, x + e);
+    store(y + e, yv + xv);
   }
+  for (; e < n; ++e) y[e] = y[e] + x[e];
 }
 
 // ---- per-ISA entry points --------------------------------------------------
@@ -247,23 +466,40 @@ template <int kBytes>
                                std::int64_t k) {                               \
     gemm_impl<bytes>(a, a_row, a_k, b, ldb, c, ldc, m, n, k);                  \
   }                                                                            \
-  __VA_ARGS__ void name##_dots(const float* x, const double* mt,               \
-                               std::int64_t ld, std::int64_t dim,              \
-                               std::int64_t keys, float scale, float* out) {   \
-    dots_impl<bytes>(x, mt, ld, dim, keys, scale, out);                        \
+  __VA_ARGS__ void name##_scores(const double* xt, const double* mt,           \
+                                 std::int64_t ld, std::int64_t dim,            \
+                                 std::int64_t keys, float scale, float* s) {   \
+    scores_impl<bytes>(xt, mt, ld, dim, keys, scale, s);                       \
   }                                                                            \
-  __VA_ARGS__ void name##_accumulate(const float* w, const float* m,           \
-                                     std::int64_t ld, std::int64_t keys,       \
-                                     std::int64_t dim, float* y) {             \
-    accumulate_impl<bytes>(w, m, ld, keys, dim, y);                            \
+  __VA_ARGS__ void name##_softmax(float* s, std::int64_t keys,                 \
+                                  const std::int64_t* visible, float* m,       \
+                                  float* l) {                                  \
+    softmax_impl(s, keys, visible, m, l);                                      \
   }                                                                            \
-  __VA_ARGS__ void name##_rank1(const float* s, const float* x,                \
-                                std::int64_t keys, std::int64_t dim, float* y, \
+  __VA_ARGS__ void name##_probs(float* p, float* ds, std::int64_t keys,        \
+                                const float* m, const float* inv_l,            \
+                                const float* D, float scale) {                 \
+    probs_impl(p, ds, keys, m, inv_l, D, scale);                               \
+  }                                                                            \
+  __VA_ARGS__ void name##_accumulate(                                          \
+      const float* w, const std::int64_t* visible, std::int64_t rows,          \
+      const float* m, std::int64_t ld, std::int64_t dim, float* y,             \
+      std::int64_t ldy) {                                                      \
+    accumulate_impl<bytes>(w, visible, rows, m, ld, dim, y, ldy);              \
+  }                                                                            \
+  __VA_ARGS__ void name##_rank1(const float* s, const std::int64_t* visible,   \
+                                std::int64_t rows, const float* x,             \
+                                std::int64_t ldx, std::int64_t dim, float* y,  \
                                 std::int64_t ld) {                             \
-    rank1_impl<bytes>(s, x, keys, dim, y, ld);                                 \
+    rank1_impl<bytes>(s, visible, rows, x, ldx, dim, y, ld);                   \
   }                                                                            \
-  const Kernels name##_kernels = {name##_gemm, name##_dots,                    \
-                                  name##_accumulate, name##_rank1};
+  __VA_ARGS__ void name##_add(float* y, const float* x, std::int64_t n) {      \
+    add_impl<bytes>(y, x, n);                                                  \
+  }                                                                            \
+  const Kernels name##_kernels = {name##_gemm,       name##_scores,            \
+                                  name##_softmax,    name##_probs,             \
+                                  name##_accumulate, name##_rank1,             \
+                                  name##_add};
 
 // Baseline ISA of the build (SSE2 on x86-64).
 SLIM_DEFINE_KERNELS(generic, 16)

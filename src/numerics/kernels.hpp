@@ -8,8 +8,8 @@
 // dots in double in ascending head-dim order — so results are bit-identical
 // to the scalar code and across ISA variants. Vectorization is only ever
 // *across* independent output elements (GEMM columns, attention keys, head
-// dims), never across a reduction. No variant contracts to FMA:
-// src/numerics is built with -ffp-contract=off.
+// dims, the rows of an attention tile), never across a reduction. No
+// variant contracts to FMA: src/numerics is built with -ffp-contract=off.
 //
 // Each kernel is written once with GCC vector types and instantiated per
 // ISA; `active_isa()` picks the widest one the host supports at first use.
@@ -32,13 +32,10 @@ std::vector<Isa> supported_isas();
 /// The widest supported variant; chosen once per process.
 Isa active_isa();
 
-/// Packed-key block: attention packs Kᵀ/Vᵀ with the key count rounded up to
-/// a multiple of this (padding keys are zero; their scores are discarded).
-constexpr std::int64_t kKeyBlock = 8;
-
-inline std::int64_t padded_keys(std::int64_t keys) {
-  return (keys + kKeyBlock - 1) / kKeyBlock * kKeyBlock;
-}
+/// Query rows per attention tile. Attention score tiles are key-major,
+/// s[j*kTile + r] = key j of tile row r, so per-row statistics (running
+/// max, normalizer) run across the tile's rows, each row in key order.
+constexpr std::int64_t kTile = 8;
 
 struct Kernels {
   /// C[i][j] = Σ_{kk<k} A(i,kk)·B[kk][j] for i < m, j < n, fp32, ascending
@@ -47,29 +44,49 @@ struct Kernels {
   void (*gemm)(const float* a, std::int64_t a_row, std::int64_t a_k,
                const float* b, std::int64_t ldb, float* c, std::int64_t ldc,
                std::int64_t m, std::int64_t n, std::int64_t k);
-  /// out[j] = float(Σ_{c<dim} double(x[c])·mt[c*ld + j]) · scale for
-  /// j < keys; `keys` is a multiple of kKeyBlock.
-  void (*dots)(const float* x, const double* mt, std::int64_t ld,
-               std::int64_t dim, std::int64_t keys, float scale, float* out);
-  /// y[c] += w[j]·m[j*ld + c] for j = 0, 1, ..., keys-1 in turn (c < dim).
-  void (*accumulate)(const float* w, const float* m, std::int64_t ld,
-                     std::int64_t keys, std::int64_t dim, float* y);
-  /// y[j*ld + c] += s[j]·x[c] for j < keys, c < dim.
-  void (*rank1)(const float* s, const float* x, std::int64_t keys,
+  /// Score tile: s[j*kTile + r] = float(Σ_{c<dim} xt[c*kTile + r]·mt[c*ld
+  /// + j])·scale for j < keys, r < kTile; double sums in ascending c.
+  void (*scores)(const double* xt, const double* mt, std::int64_t ld,
+                 std::int64_t dim, std::int64_t keys, float scale, float* s);
+  /// Online-softmax statistics of a score tile. Row r covers its first
+  /// visible[r] keys in ascending order: m[r] = their max (−inf if none),
+  /// s[j*kTile + r] = exp(s − m[r]) for those keys (0 for later ones) and
+  /// l[r] = float of their double sum from +0. `keys` ≥ every visible[r].
+  void (*softmax)(float* s, std::int64_t keys, const std::int64_t* visible,
+                  float* m, float* l);
+  /// Backward probabilities of a tile, every row and key j < keys:
+  /// p = exp(p − m[r])·inv_l[r], then ds = p·(ds − D[r])·scale.
+  void (*probs)(float* p, float* ds, std::int64_t keys, const float* m,
+                const float* inv_l, const float* D, float scale);
+  /// y[r*ldy + c] += w[j*kTile + r]·m[j*ld + c] for j = 0, 1, ...,
+  /// visible[r]-1 in turn (r < rows ≤ kTile, c < dim).
+  void (*accumulate)(const float* w, const std::int64_t* visible,
+                     std::int64_t rows, const float* m, std::int64_t ld,
+                     std::int64_t dim, float* y, std::int64_t ldy);
+  /// y[j*ld + c] += s[j*kTile + r]·x[r*ldx + c] for r = 0, 1, ..., rows-1
+  /// in turn, over the keys j < visible[r] of each row (c < dim).
+  void (*rank1)(const float* s, const std::int64_t* visible,
+                std::int64_t rows, const float* x, std::int64_t ldx,
                 std::int64_t dim, float* y, std::int64_t ld);
+  /// y[e] += x[e] for e < n.
+  void (*add)(float* y, const float* x, std::int64_t n);
 };
 
 /// The kernel table of `isa`, which must be supported by this host.
 const Kernels& kernels(Isa isa);
 
 // Tensor-level entry points pinned to one ISA variant. The public kernels
-// (matmul*, attn_partial, attn_streamed_bwd) call these with active_isa().
+// (matmul*, attn_partial, attn_streamed, attn_streamed_bwd) call these with
+// active_isa().
 Tensor matmul(Isa isa, const Tensor& a, const Tensor& b);
 Tensor matmul_nt(Isa isa, const Tensor& a, const Tensor& b);
 Tensor matmul_tn(Isa isa, const Tensor& a, const Tensor& b);
 AttnPartial attn_partial(Isa isa, const Tensor& q, const Tensor& k,
                          const Tensor& v, std::int64_t q_offset,
                          std::int64_t k_offset, float scale);
+AttnPartial attn_streamed(Isa isa, const Tensor& q,
+                          const std::vector<KvChunk>& chunks,
+                          std::int64_t q_offset, float scale);
 void attn_streamed_bwd(Isa isa, const Tensor& q,
                        const std::vector<KvChunk>& chunks,
                        std::int64_t q_offset, float scale,
