@@ -1,7 +1,6 @@
 #include "src/numerics/attention.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -41,8 +40,8 @@ void merge_row(float* a_out, float& a_m, float& a_l, const float* b_out,
     return;
   }
   const float m = std::max(a_m, b_m);
-  const float wa = a_l * std::exp(a_m - m);
-  const float wb = b_l * std::exp(b_m - m);
+  const float wa = a_l * simd::exp(a_m - m);
+  const float wb = b_l * simd::exp(b_m - m);
   const float l = wa + wb;
   for (std::int64_t c = 0; c < d; ++c) {
     a_out[c] = (a_out[c] * wa + b_out[c] * wb) / l;
@@ -239,7 +238,7 @@ void attn_reference_bwd(const Tensor& q, const Tensor& k, const Tensor& v,
     double l = 0.0;
     for (std::int64_t j = 0; j < visible; ++j) {
       p[static_cast<std::size_t>(j)] =
-          std::exp(p[static_cast<std::size_t>(j)] - m);
+          simd::exp(p[static_cast<std::size_t>(j)] - m);
       l += p[static_cast<std::size_t>(j)];
     }
     for (std::int64_t j = 0; j < visible; ++j) {

@@ -1,7 +1,6 @@
 #include "src/numerics/kernels.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "src/util/logging.hpp"
@@ -17,6 +16,7 @@ template <int kBytes>
 struct Vec {
   typedef float F __attribute__((vector_size(kBytes)));
   typedef double D __attribute__((vector_size(kBytes)));
+  typedef std::uint32_t U __attribute__((vector_size(kBytes)));
   // The float vector a D converts to (same lane count).
   typedef float FOfD __attribute__((vector_size(kBytes / 2)));
   static constexpr int kFloats = kBytes / 4;
@@ -127,6 +127,77 @@ template <int kBytes>
   }
 }
 
+// ---- exp -------------------------------------------------------------------
+
+// Range reduction and polynomial of Cephes' expf: at most 1 ulp from the
+// correctly rounded float over every float argument in [-87.5, 88.72],
+// evaluated without FMA.
+constexpr float kLog2e = 1.44269504088896341f;
+constexpr float kLn2Hi = 0.693359375f;  // 9 significant bits: n·kLn2Hi exact
+constexpr float kLn2Lo = -2.12194440e-4f;
+// Adding 1.5·2^23 rounds |v| < 2^22 to the nearest integer, left in the
+// low mantissa bits.
+constexpr float kRoundShift = 12582912.0f;
+constexpr std::uint32_t kRoundShiftBits = 0x4B400000u;
+// The smallest float whose e^x is a normal float (ln FLT_MIN rounded up).
+constexpr float kExpMinArg = -0x1.5d589ep+6f;
+
+// y = exp(x) for F = float or a float vector with U its same-width uint32
+// type. Every step is one IEEE operation per element, so all forms agree
+// bit for bit. y may alias x.
+template <typename F, typename U>
+[[gnu::always_inline]] inline void exp_impl(F& y, const F& x) {
+  const F zero = {};
+  // |x| past 100 saturates (to 0 or +inf) the same way; the clamp keeps n
+  // small. NaN fails both compares and stays NaN.
+  const F lo = zero - 100.0f, hi = zero + 100.0f;
+  F xc = x < lo ? lo : x;
+  xc = xc > hi ? hi : xc;
+  const F t = xc * kLog2e + kRoundShift;
+  const F n = t - kRoundShift;  // round(x·log2 e)
+  F r = xc - n * kLn2Hi;
+  r = r - n * kLn2Lo;
+  // e^r = 1 + r + r²·P(r) for |r| ≤ ln2/2.
+  F p = r * 1.9875691500e-4f + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  p = p * (r * r) + r + 1.0f;
+  // 2^n = 2^a·2^b with a = floor(n/2), b = n − a: both normal for |n| ≤
+  // 252, so p·2^a is exact and only the last product rounds. Unsigned
+  // arithmetic: no shift of a negative value, whatever t holds.
+  U bits;
+  std::memcpy(&bits, &t, sizeof bits);
+  const U biased = bits - kRoundShiftBits + 254u;  // n + 2·127
+  const U a = biased >> 1;
+  const U b = biased - a;
+  const U a_bits = a << 23, b_bits = b << 23;
+  F scale_a, scale_b;
+  std::memcpy(&scale_a, &a_bits, sizeof scale_a);
+  std::memcpy(&scale_b, &b_bits, sizeof scale_b);
+  const F e = p * scale_a * scale_b;
+  y = x < zero + kExpMinArg ? zero : e;
+}
+
+template <int kBytes>
+[[gnu::always_inline]] inline void exp_block_impl(const float* x,
+                                                  std::int64_t n, float m,
+                                                  float* out) {
+  using F = typename Vec<kBytes>::F;
+  using U = typename Vec<kBytes>::U;
+  constexpr int kW = Vec<kBytes>::kFloats;
+  std::int64_t j = 0;
+  for (; j + kW <= n; j += kW) {
+    F v;
+    load(v, x + j);
+    v = v - m;
+    exp_impl<F, U>(v, v);
+    store(out + j, v);
+  }
+  for (; j < n; ++j) exp_impl<float, std::uint32_t>(out[j], x[j] - m);
+}
+
 // ---- attention -------------------------------------------------------------
 //
 // Attention works on tiles of kTile query rows. Score tiles are key-major
@@ -137,6 +208,7 @@ typedef float F8 __attribute__((vector_size(4 * kTile)));
 typedef double D8 __attribute__((vector_size(8 * kTile)));
 typedef std::int32_t I8 __attribute__((vector_size(4 * kTile)));
 typedef std::int64_t L8 __attribute__((vector_size(8 * kTile)));
+typedef std::uint32_t U8 __attribute__((vector_size(4 * kTile)));
 
 // Lanes r with j < visible[r].
 [[gnu::always_inline]] inline void visible_lanes(const L8& visible,
@@ -144,10 +216,6 @@ typedef std::int64_t L8 __attribute__((vector_size(8 * kTile)));
   const L8 jv = L8{} + j;
   const L8 d = jv < visible;
   f = __builtin_convertvector(d, I8);
-}
-
-[[gnu::always_inline]] inline void exp_lanes(F8& y, const F8& x) {
-  for (int r = 0; r < kTile; ++r) y[r] = std::exp(x[r]);
 }
 
 // kN keys starting at key j, each an 8-lane double sum over the tile rows.
@@ -216,7 +284,7 @@ template <int kBytes>
     F8 w;
     load(w, s + j * kTile);
     w = w - m;
-    exp_lanes(w, w);
+    exp_impl<F8, U8>(w, w);
     if (j >= common) {
       I8 f;
       visible_lanes(vis, j, f);
@@ -243,7 +311,7 @@ template <int kBytes>
     load(pv, p + j * kTile);
     load(dsv, ds + j * kTile);
     pv = pv - mv;
-    exp_lanes(pv, pv);
+    exp_impl<F8, U8>(pv, pv);
     pv = pv * il;
     dsv = pv * (dsv - dv) * scale;
     store(p + j * kTile, pv);
@@ -496,10 +564,14 @@ template <int kBytes>
   __VA_ARGS__ void name##_add(float* y, const float* x, std::int64_t n) {      \
     add_impl<bytes>(y, x, n);                                                  \
   }                                                                            \
+  __VA_ARGS__ void name##_exp(const float* x, std::int64_t n, float m,         \
+                              float* out) {                                    \
+    exp_block_impl<bytes>(x, n, m, out);                                       \
+  }                                                                            \
   const Kernels name##_kernels = {name##_gemm,       name##_scores,            \
                                   name##_softmax,    name##_probs,             \
                                   name##_accumulate, name##_rank1,             \
-                                  name##_add};
+                                  name##_add,        name##_exp};
 
 // Baseline ISA of the build (SSE2 on x86-64).
 SLIM_DEFINE_KERNELS(generic, 16)
@@ -529,6 +601,12 @@ bool host_supports(Isa isa) {
 }
 
 }  // namespace
+
+float exp(float x) {
+  float y;
+  exp_impl<float, std::uint32_t>(y, x);
+  return y;
+}
 
 const char* isa_name(Isa isa) {
   switch (isa) {

@@ -10,6 +10,8 @@
 // *across* independent output elements (GEMM columns, attention keys, head
 // dims, the rows of an attention tile), never across a reduction. No
 // variant contracts to FMA: src/numerics is built with -ffp-contract=off.
+// Attention's exp is the repository's own (`exp` below), not libm's, so its
+// bits do not depend on which expf the host's C library picks.
 //
 // Each kernel is written once with GCC vector types and instantiated per
 // ISA; `active_isa()` picks the widest one the host supports at first use.
@@ -31,6 +33,13 @@ const char* isa_name(Isa isa);
 std::vector<Isa> supported_isas();
 /// The widest supported variant; chosen once per process.
 Isa active_isa();
+
+/// The repository exp, the one attention uses: x = n·ln2 + r with ln2 split
+/// in a high and a low part, e^r by a fixed polynomial, 2^n from integer
+/// bits; no FMA, no libm. exp(±0) == 1 exactly, 0 below the float underflow
+/// threshold (never a denormal) and for −inf, +inf on overflow, NaN for
+/// NaN. Every ISA's vector form gives these same bits.
+float exp(float x);
 
 /// Query rows per attention tile. Attention score tiles are key-major,
 /// s[j*kTile + r] = key j of tile row r, so per-row statistics (running
@@ -70,6 +79,8 @@ struct Kernels {
                 std::int64_t dim, float* y, std::int64_t ld);
   /// y[e] += x[e] for e < n.
   void (*add)(float* y, const float* x, std::int64_t n);
+  /// out[j] = exp(x[j] − m) for j < n, with the repository exp.
+  void (*exp)(const float* x, std::int64_t n, float m, float* out);
 };
 
 /// The kernel table of `isa`, which must be supported by this host.

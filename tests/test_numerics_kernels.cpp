@@ -3,14 +3,22 @@
 // kernels replaced byte for byte, over shapes that hit every vector/tail
 // path. The oracles below are those scalar loops, kept verbatim in their
 // arithmetic (fp32 ascending-k GEMM sums from +0; double attention dots;
-// per-query-chunk dk/dv partials folded in chunk order).
+// per-query-chunk dk/dv partials folded in chunk order). Attention's exp is
+// the repository's own; the oracles use a scalar copy of it (oracle_exp),
+// and the exp tests below pin that copy to simd::exp and to a correctly
+// rounded reference.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -28,6 +36,33 @@ constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 constexpr std::int64_t kQueryGrain = 8;  // attention.cpp's query chunk
 
 // ---- scalar oracles ---------------------------------------------------------
+
+// A scalar copy of the repository exp (kernels.cpp's exp_impl): Cephes
+// range reduction and polynomial, 2^n split in two normal powers.
+float oracle_exp(float x) {
+  float xc = x < -100.0f ? -100.0f : x;
+  xc = xc > 100.0f ? 100.0f : xc;
+  const float t = xc * 1.44269504088896341f + 12582912.0f;
+  const float n = t - 12582912.0f;
+  float r = xc - n * 0.693359375f;
+  r = r - n * -2.12194440e-4f;
+  float p = r * 1.9875691500e-4f + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  p = p * (r * r) + r + 1.0f;
+  std::uint32_t bits;
+  std::memcpy(&bits, &t, sizeof bits);
+  const std::uint32_t biased = bits - 0x4B400000u + 254u;
+  const std::uint32_t a = (biased >> 1) << 23;
+  const std::uint32_t b = (biased - (biased >> 1)) << 23;
+  float scale_a, scale_b;
+  std::memcpy(&scale_a, &a, sizeof a);
+  std::memcpy(&scale_b, &b, sizeof b);
+  const float e = p * scale_a * scale_b;
+  return x < -0x1.5d589ep+6f ? 0.0f : e;
+}
 
 Tensor oracle_matmul(const Tensor& a, const Tensor& b) {
   Tensor c(a.rows(), b.cols());
@@ -99,7 +134,7 @@ AttnPartial oracle_attn_partial(const Tensor& q, const Tensor& k,
     }
     double l = 0.0;
     for (std::int64_t j = 0; j < visible; ++j) {
-      const float w = std::exp(scores[static_cast<std::size_t>(j)] - m);
+      const float w = oracle_exp(scores[static_cast<std::size_t>(j)] - m);
       l += w;
       for (std::int64_t c = 0; c < d; ++c) {
         part.out.at(i, c) += w * v.at(j, c);
@@ -111,6 +146,38 @@ AttnPartial oracle_attn_partial(const Tensor& q, const Tensor& k,
     part.l[static_cast<std::size_t>(i)] = static_cast<float>(l);
   }
   return part;
+}
+
+AttnPartial oracle_attn_merge(const AttnPartial& a, const AttnPartial& b) {
+  const std::int64_t s = a.q_len(), d = a.out.cols();
+  AttnPartial out;
+  out.out = Tensor(s, d);
+  out.m.assign(static_cast<std::size_t>(s), kNegInf);
+  out.l.assign(static_cast<std::size_t>(s), 0.0f);
+  for (std::int64_t i = 0; i < s; ++i) {
+    const std::size_t si = static_cast<std::size_t>(i);
+    const float la = a.l[si], lb = b.l[si];
+    if (la == 0.0f && lb == 0.0f) continue;
+    const AttnPartial* only = la == 0.0f ? &b : lb == 0.0f ? &a : nullptr;
+    if (only != nullptr) {
+      out.m[si] = only->m[si];
+      out.l[si] = only->l[si];
+      for (std::int64_t c = 0; c < d; ++c) {
+        out.out.at(i, c) = only->out.at(i, c);
+      }
+      continue;
+    }
+    const float m = std::max(a.m[si], b.m[si]);
+    const float wa = la * oracle_exp(a.m[si] - m);
+    const float wb = lb * oracle_exp(b.m[si] - m);
+    const float l = wa + wb;
+    for (std::int64_t c = 0; c < d; ++c) {
+      out.out.at(i, c) = (a.out.at(i, c) * wa + b.out.at(i, c) * wb) / l;
+    }
+    out.m[si] = m;
+    out.l[si] = l;
+  }
+  return out;
 }
 
 void oracle_attn_streamed_bwd(const Tensor& q,
@@ -151,7 +218,7 @@ void oracle_attn_streamed_bwd(const Tensor& q,
             dot += static_cast<double>(q.at(i, c)) * chunk.k.at(j, c);
           }
           const float pj =
-              std::exp(static_cast<float>(dot) * scale - fwd.m[si]) * inv_l;
+              oracle_exp(static_cast<float>(dot) * scale - fwd.m[si]) * inv_l;
           double dpj = 0.0;
           for (std::int64_t c = 0; c < d; ++c) {
             dpj += static_cast<double>(dout.at(i, c)) * chunk.v.at(j, c);
@@ -190,6 +257,29 @@ bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// Distance in units in the last place between two finite floats.
+std::int64_t ulp_distance(float a, float b) {
+  const auto ordered = [](float f) {
+    std::int32_t i;
+    std::memcpy(&i, &f, sizeof i);
+    return i < 0 ? -static_cast<std::int64_t>(i & 0x7fffffff)
+                 : static_cast<std::int64_t>(i);
+  };
+  return std::llabs(ordered(a) - ordered(b));
+}
+
+// 2^20 + 1 arguments at a fixed stride over [-87.5, 0]: every softmax
+// argument is ≤ 0, and below about -87.34 the result is flushed to 0.
+std::vector<float> exp_sweep() {
+  constexpr int kSteps = 1 << 20;
+  std::vector<float> xs;
+  xs.reserve(kSteps + 1);
+  for (int i = 0; i <= kSteps; ++i) {
+    xs.push_back(static_cast<float>(-87.5 + 87.5 * i / kSteps));
+  }
+  return xs;
 }
 
 std::string shape_name(Isa isa, std::int64_t a, std::int64_t b,
@@ -253,15 +343,15 @@ struct AttnPlacement {
 };
 
 const AttnPlacement kPlacements[] = {
-    {1, 1, 0, 0},    {3, 5, 4, 0},   {9, 13, 3, 5},
-    {17, 33, 40, 8}, {8, 8, 0, 0},   {5, 9, 0, 3},
+    {1, 1, 0, 0},    {3, 5, 4, 0}, {9, 13, 3, 5}, {17, 33, 40, 8},
+    {8, 8, 0, 0},    {5, 9, 0, 3}, {7, 12, 2, 4},
 };
 
 TEST(KernelOracleTest, AttnPartialBitExact) {
   Rng rng(43);
   const float scale = 0.37f;
   for (Isa isa : simd::supported_isas()) {
-    for (std::int64_t d : {1, 7, 8, 9, 16, 17}) {
+    for (std::int64_t d : {1, 7, 8, 9, 16, 17, 33}) {
       for (const AttnPlacement& p : kPlacements) {
         const Tensor q = Tensor::randn(p.q_len, d, rng, 1.0f);
         const Tensor k = Tensor::randn(p.kv_len, d, rng, 1.0f);
@@ -283,44 +373,190 @@ TEST(KernelOracleTest, AttnStreamedBwdBitExact) {
   Rng rng(44);
   const float scale = 0.41f;
   for (Isa isa : simd::supported_isas()) {
-    for (std::int64_t d : {1, 7, 8, 9, 16, 17}) {
-      // Three KV chunks of uneven length; the query slice (offset 10)
-      // starts inside the second chunk and ends past the third's start, so
-      // rows see all, part or none of a chunk. A fourth chunk past every
-      // query is fully invisible.
-      std::vector<KvChunk> chunks;
-      std::int64_t pos = 0;
-      for (std::int64_t len : {7, 9, 17, 5}) {
-        chunks.push_back({Tensor::randn(len, d, rng, 1.0f),
-                          Tensor::randn(len, d, rng, 1.0f), pos});
-        pos += len;
-      }
-      const std::int64_t q_offset = 10, s = 19;
-      const Tensor q = Tensor::randn(s, d, rng, 1.0f);
-      const Tensor dout = Tensor::randn(s, d, rng, 1.0f);
-      const AttnPartial fwd = attn_streamed(q, chunks, q_offset, scale);
+    for (std::int64_t d : {1, 7, 8, 9, 16, 17, 33}) {
+      for (std::int64_t s : {1, 7, 9, 17, 19}) {
+        // Three KV chunks of uneven length; the query slice (offset 10)
+        // starts inside the second chunk and, from 7 rows on, reaches the
+        // third's start, so rows see all, part or none of a chunk. A fourth
+        // chunk past every query is fully invisible.
+        std::vector<KvChunk> chunks;
+        std::int64_t pos = 0;
+        for (std::int64_t len : {7, 9, 17, 5}) {
+          chunks.push_back({Tensor::randn(len, d, rng, 1.0f),
+                            Tensor::randn(len, d, rng, 1.0f), pos});
+          pos += len;
+        }
+        const std::int64_t q_offset = 10;
+        const Tensor q = Tensor::randn(s, d, rng, 1.0f);
+        const Tensor dout = Tensor::randn(s, d, rng, 1.0f);
+        const AttnPartial fwd = attn_streamed(q, chunks, q_offset, scale);
 
-      auto zeros = [&] {
-        std::vector<Tensor> out;
-        for (const KvChunk& c : chunks) out.emplace_back(c.k.rows(), d);
-        return out;
-      };
-      Tensor dq_got, dq_want;
-      std::vector<Tensor> dk_got = zeros(), dv_got = zeros();
-      std::vector<Tensor> dk_want = zeros(), dv_want = zeros();
-      simd::attn_streamed_bwd(isa, q, chunks, q_offset, scale, fwd, dout,
-                              dq_got, dk_got, dv_got);
-      oracle_attn_streamed_bwd(q, chunks, q_offset, scale, fwd, dout,
-                               dq_want, dk_want, dv_want);
-      const std::string where = shape_name(isa, s, pos, d);
-      EXPECT_TRUE(same_bytes(dq_got, dq_want)) << where;
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        EXPECT_TRUE(same_bytes(dk_got[c], dk_want[c]))
-            << where << " chunk " << c;
-        EXPECT_TRUE(same_bytes(dv_got[c], dv_want[c]))
-            << where << " chunk " << c;
+        auto zeros = [&] {
+          std::vector<Tensor> out;
+          for (const KvChunk& c : chunks) out.emplace_back(c.k.rows(), d);
+          return out;
+        };
+        Tensor dq_got, dq_want;
+        std::vector<Tensor> dk_got = zeros(), dv_got = zeros();
+        std::vector<Tensor> dk_want = zeros(), dv_want = zeros();
+        simd::attn_streamed_bwd(isa, q, chunks, q_offset, scale, fwd, dout,
+                                dq_got, dk_got, dv_got);
+        oracle_attn_streamed_bwd(q, chunks, q_offset, scale, fwd, dout,
+                                 dq_want, dk_want, dv_want);
+        const std::string where = shape_name(isa, s, pos, d);
+        EXPECT_TRUE(same_bytes(dq_got, dq_want)) << where;
+        for (std::size_t c = 0; c < chunks.size(); ++c) {
+          EXPECT_TRUE(same_bytes(dk_got[c], dk_want[c]))
+              << where << " chunk " << c;
+          EXPECT_TRUE(same_bytes(dv_got[c], dv_want[c]))
+              << where << " chunk " << c;
+        }
       }
     }
+  }
+}
+
+// Tile edges through the fused streamed forward: query blocks of 1, 7, 9
+// and 17 rows (partial tiles), rows that see nothing of a chunk inside a
+// tile, and diagonal chunks where the tile's rows see different key
+// counts. It must equal the attn_partial + attn_merge chain exactly.
+TEST(KernelOracleTest, AttnStreamedTileEdgesBitExact) {
+  Rng rng(45);
+  const float scale = 0.29f;
+  const std::vector<std::vector<std::int64_t>> layouts = {{13}, {5, 11, 8}};
+  for (Isa isa : simd::supported_isas()) {
+    for (std::int64_t d : {1, 7, 8, 9, 16, 17, 33}) {
+      for (std::int64_t s : {1, 7, 9, 17}) {
+        for (const std::vector<std::int64_t>& lens : layouts) {
+          // The query block starts 3 keys into the first chunk.
+          const std::int64_t q_offset = 3;
+          std::vector<KvChunk> chunks;
+          std::int64_t pos = 0;
+          for (std::int64_t len : lens) {
+            chunks.push_back({Tensor::randn(len, d, rng, 1.0f),
+                              Tensor::randn(len, d, rng, 1.0f), pos});
+            pos += len;
+          }
+          const Tensor q = Tensor::randn(s, d, rng, 1.0f);
+          AttnPartial want;
+          for (std::size_t c = 0; c < chunks.size(); ++c) {
+            AttnPartial part =
+                oracle_attn_partial(q, chunks[c].k, chunks[c].v, q_offset,
+                                    chunks[c].pos, scale);
+            want = c == 0 ? std::move(part) : oracle_attn_merge(want, part);
+          }
+          const AttnPartial got =
+              simd::attn_streamed(isa, q, chunks, q_offset, scale);
+          const std::string where = shape_name(isa, s, pos, d) + " chunks " +
+                                    std::to_string(chunks.size());
+          EXPECT_TRUE(same_bytes(got.out, want.out)) << where;
+          EXPECT_TRUE(same_bytes(got.m, want.m)) << where;
+          EXPECT_TRUE(same_bytes(got.l, want.l)) << where;
+        }
+      }
+    }
+  }
+}
+
+// The public merge is the same fold: merging two partials equals the
+// oracle merge byte for byte, including rows without visible keys.
+TEST(KernelOracleTest, AttnMergeBitExact) {
+  Rng rng(46);
+  const Tensor q = Tensor::randn(11, 9, rng, 1.0f);
+  const Tensor k = Tensor::randn(20, 9, rng, 1.0f);
+  const Tensor v = Tensor::randn(20, 9, rng, 1.0f);
+  // Keys 0-9 and 10-19 for queries at 6..16: early rows see nothing of
+  // the second block.
+  const AttnPartial a = oracle_attn_partial(q, k.slice_rows(0, 10),
+                                            v.slice_rows(0, 10), 6, 0, 0.3f);
+  const AttnPartial b = oracle_attn_partial(q, k.slice_rows(10, 20),
+                                            v.slice_rows(10, 20), 6, 10, 0.3f);
+  for (const auto& [x, y] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+    const AttnPartial got = attn_merge(*x, *y);
+    const AttnPartial want = oracle_attn_merge(*x, *y);
+    EXPECT_TRUE(same_bytes(got.out, want.out));
+    EXPECT_TRUE(same_bytes(got.m, want.m));
+    EXPECT_TRUE(same_bytes(got.l, want.l));
+  }
+}
+
+// ---- the repository exp -----------------------------------------------------
+
+TEST(RepoExpTest, WithinTwoUlpOfCorrectlyRounded) {
+  std::int64_t worst = 0;
+  float worst_x = 0.0f;
+  for (float x : exp_sweep()) {
+    const float got = simd::exp(x);
+    const float want = static_cast<float>(std::exp(static_cast<double>(x)));
+    if (want < FLT_MIN) {
+      // Below the underflow threshold: flushed to +0, never a denormal.
+      EXPECT_EQ(got, 0.0f) << x;
+      EXPECT_FALSE(std::signbit(got)) << x;
+      continue;
+    }
+    ASSERT_GE(got, FLT_MIN) << x;
+    const std::int64_t ulps = ulp_distance(got, want);
+    if (ulps > worst) {
+      worst = ulps;
+      worst_x = x;
+    }
+  }
+  RecordProperty("max_ulp", static_cast<int>(worst));
+  std::printf("repository exp: max error %lld ulp (at x = %.9g)\n",
+              static_cast<long long>(worst), worst_x);
+  EXPECT_LE(worst, 2);
+}
+
+TEST(RepoExpTest, ExactCases) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(simd::exp(0.0f), 1.0f);
+  EXPECT_EQ(simd::exp(-0.0f), 1.0f);
+  const float at_neg_inf = simd::exp(-inf);
+  EXPECT_EQ(at_neg_inf, 0.0f);
+  EXPECT_FALSE(std::signbit(at_neg_inf));
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(simd::exp(nan)));
+  EXPECT_TRUE(std::isnan(simd::exp(-nan)));
+  // Underflow: the threshold is the smallest float whose e^x is normal.
+  const float threshold = -0x1.5d589ep+6f;
+  EXPECT_GE(std::exp(static_cast<double>(threshold)), FLT_MIN);
+  EXPECT_LT(std::exp(static_cast<double>(std::nextafter(threshold, -inf))),
+            FLT_MIN);
+  EXPECT_GE(simd::exp(threshold), FLT_MIN);
+  for (float x : {std::nextafter(threshold, -inf), -88.0f, -100.0f, -1e30f,
+                  -std::numeric_limits<float>::max()}) {
+    EXPECT_EQ(simd::exp(x), 0.0f) << x;
+  }
+  // Overflow.
+  EXPECT_EQ(simd::exp(88.72f),
+            static_cast<float>(std::exp(static_cast<double>(88.72f))));
+  for (float x : {89.0f, 100.0f, 1e30f, std::numeric_limits<float>::max(),
+                  inf}) {
+    EXPECT_EQ(simd::exp(x), inf) << x;
+  }
+}
+
+// Every ISA's vector exp gives the scalar form's bits over the sweep plus
+// the special values (an odd count, so the scalar tail runs too); the
+// oracles' copy gives them as well.
+TEST(RepoExpTest, EveryIsaAndTheOracleMatchTheScalarForm) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> xs = exp_sweep();
+  for (float x : {0.0f, -0.0f, inf, -inf, 88.72f, 100.0f, -100.0f,
+                  std::numeric_limits<float>::quiet_NaN(), 1.5f, 3.0f}) {
+    xs.push_back(x);
+  }
+  std::vector<float> want(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    want[i] = simd::exp(xs[i]);
+    const float copy = oracle_exp(xs[i]);
+    ASSERT_EQ(std::memcmp(&copy, &want[i], sizeof copy), 0) << xs[i];
+  }
+  for (Isa isa : simd::supported_isas()) {
+    std::vector<float> got(xs.size());
+    simd::kernels(isa).exp(xs.data(), static_cast<std::int64_t>(xs.size()),
+                           0.0f, got.data());
+    EXPECT_TRUE(same_bytes(got, want)) << simd::isa_name(isa);
   }
 }
 
