@@ -20,36 +20,6 @@ constexpr std::int64_t kQueryGrain = simd::kTile;
 
 util::ThreadPool& pool() { return util::ThreadPool::global(); }
 
-/// Folds partial b (normalized output, max, normalizer of one query row)
-/// into the running row a: the online-softmax merge. Rows with l == 0 have
-/// no visible keys.
-void merge_row(float* a_out, float& a_m, float& a_l, const float* b_out,
-               float b_m, float b_l, std::int64_t d) {
-  if (b_l == 0.0f) {
-    if (a_l == 0.0f) {
-      std::fill(a_out, a_out + d, 0.0f);
-      a_m = kNegInf;
-      a_l = 0.0f;
-    }
-    return;
-  }
-  if (a_l == 0.0f) {
-    std::copy(b_out, b_out + d, a_out);
-    a_m = b_m;
-    a_l = b_l;
-    return;
-  }
-  const float m = std::max(a_m, b_m);
-  const float wa = a_l * simd::exp(a_m - m);
-  const float wb = b_l * simd::exp(b_m - m);
-  const float l = wa + wb;
-  for (std::int64_t c = 0; c < d; ++c) {
-    a_out[c] = (a_out[c] * wa + b_out[c] * wb) / l;
-  }
-  a_m = m;
-  a_l = l;
-}
-
 /// One KV chunk by reference.
 struct KvView {
   const Tensor& k;
@@ -98,7 +68,7 @@ std::int64_t visible_keys(std::int64_t q_offset, std::int64_t i0,
 }
 
 /// Streamed forward: each query tile runs over every chunk and folds the
-/// chunk's partial into its running rows in place, with merge_row.
+/// chunk's partial into its running rows in place, with the merge kernel.
 AttnPartial streamed_forward(Isa isa, const Tensor& q,
                              const std::vector<KvView>& chunks,
                              std::int64_t q_offset, float scale) {
@@ -156,10 +126,9 @@ AttnPartial streamed_forward(Isa isa, const Tensor& q,
         float* out = part.data() + r * d;
         const float inv_l = 1.0f / l[r];
         for (std::int64_t c = 0; c < d; ++c) out[c] *= inv_l;
-        const std::size_t i = static_cast<std::size_t>(i0 + r);
-        merge_row(acc.out.data() + (i0 + r) * d, acc.m[i], acc.l[i], out,
-                  m[r], l[r], d);
       }
+      kern.merge(acc.out.data() + i0 * d, acc.m.data() + i0,
+                 acc.l.data() + i0, part.data(), m, l, rows, d);
     }
   });
   return acc;
@@ -197,14 +166,13 @@ AttnPartial attn_merge(const AttnPartial& a, const AttnPartial& b) {
   SLIM_CHECK(a.q_len() == b.q_len() && a.out.cols() == b.out.cols(),
              "merge shape mismatch");
   const std::int64_t s = a.q_len(), d = a.out.cols();
+  const simd::Kernels& kern = simd::kernels(simd::active_isa());
   AttnPartial out = a;
   pool().parallel_for(0, s, kQueryGrain, [&](std::int64_t i0,
                                              std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const std::size_t si = static_cast<std::size_t>(i);
-      merge_row(out.out.data() + i * d, out.m[si], out.l[si],
-                b.out.data() + i * d, b.m[si], b.l[si], d);
-    }
+    kern.merge(out.out.data() + i0 * d, out.m.data() + i0, out.l.data() + i0,
+               b.out.data() + i0 * d, b.m.data() + i0, b.l.data() + i0,
+               i1 - i0, d);
   });
   return out;
 }

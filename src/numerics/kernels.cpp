@@ -258,6 +258,70 @@ template <int kBytes>
   for (; j < keys; ++j) scores_block<1>(xt, mt, ld, dim, j, scale, s);
 }
 
+// Elementwise passes over a score tile treat it as a flat array and use
+// the ISA's full width: a group of kGroup floats is one vector of whole
+// keys (AVX-512: two) or whole vectors of one key (SSE: two), and per-row
+// operands repeat with period kTile across it.
+template <int kBytes>
+constexpr int kGroup = Vec<kBytes>::kFloats > kTile ? Vec<kBytes>::kFloats
+                                                    : static_cast<int>(kTile);
+
+template <int kBytes>
+[[gnu::always_inline]] inline void row_pattern(const float* lanes,
+                                               float* out) {
+  for (int i = 0; i < kGroup<kBytes>; ++i) out[i] = lanes[i % kTile];
+}
+
+// One vector V of tile elements: exp_step sets x = exp(x − m), probs_step
+// p = p·il and ds = p·(ds − D)·scale; mp, ip and dp hold each lane's row
+// operand.
+template <typename V, typename UV>
+[[gnu::always_inline]] inline void exp_step(float* x, const float* mp) {
+  V xv, mv;
+  load(xv, x);
+  load(mv, mp);
+  xv = xv - mv;
+  exp_impl<V, UV>(xv, xv);
+  store(x, xv);
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void probs_step(float* p, float* ds,
+                                              const float* ip,
+                                              const float* dp, float scale) {
+  V pv, dsv, iv, dv;
+  load(pv, p);
+  load(dsv, ds);
+  load(iv, ip);
+  load(dv, dp);
+  pv = pv * iv;
+  dsv = pv * (dsv - dv) * scale;
+  store(p, pv);
+  store(ds, dsv);
+}
+
+// x[j*kTile + r] = exp(x[j*kTile + r] − m[r]) for j < keys, every lane.
+template <int kBytes>
+[[gnu::always_inline]] inline void exp_tile(float* x, std::int64_t keys,
+                                            const float* m) {
+  using F = typename Vec<kBytes>::F;
+  using U = typename Vec<kBytes>::U;
+  constexpr int kW = Vec<kBytes>::kFloats, kG = kGroup<kBytes>;
+  float mp[kG];
+  row_pattern<kBytes>(m, mp);
+  const std::int64_t n = keys * kTile;
+  std::int64_t e = 0;
+  for (; e + kG <= n; e += kG) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kG / kW; ++v) {
+      exp_step<F, U>(x + e + v * kW, mp + v * kW);
+    }
+  }
+  // A last key a two-key group did not cover.
+  if (e < n) exp_step<F8, U8>(x + e, mp);
+}
+
+template <int kBytes>
 [[gnu::always_inline]] inline void softmax_impl(float* s, std::int64_t keys,
                                                 const std::int64_t* visible,
                                                 float* m_out, float* l_out) {
@@ -279,43 +343,99 @@ template <int kBytes>
     }
     m = m < sv ? sv : m;
   }
+  store(m_out, m);
+  exp_tile<kBytes>(s, keys, m_out);
   D8 l = {};
   for (std::int64_t j = 0; j < keys; ++j) {
     F8 w;
     load(w, s + j * kTile);
-    w = w - m;
-    exp_impl<F8, U8>(w, w);
     if (j >= common) {
       I8 f;
       visible_lanes(vis, j, f);
       w = f ? w : F8{};
+      store(s + j * kTile, w);
     }
-    store(s + j * kTile, w);
     l = l + __builtin_convertvector(w, D8);
   }
-  store(m_out, m);
   store(l_out, __builtin_convertvector(l, F8));
 }
 
+template <int kBytes>
 [[gnu::always_inline]] inline void probs_impl(float* p, float* ds,
                                               std::int64_t keys,
                                               const float* m,
                                               const float* inv_l,
                                               const float* D, float scale) {
-  F8 mv, il, dv;
-  load(mv, m);
-  load(il, inv_l);
-  load(dv, D);
-  for (std::int64_t j = 0; j < keys; ++j) {
-    F8 pv, dsv;
-    load(pv, p + j * kTile);
-    load(dsv, ds + j * kTile);
-    pv = pv - mv;
-    exp_impl<F8, U8>(pv, pv);
-    pv = pv * il;
-    dsv = pv * (dsv - dv) * scale;
-    store(p + j * kTile, pv);
-    store(ds + j * kTile, dsv);
+  using F = typename Vec<kBytes>::F;
+  constexpr int kW = Vec<kBytes>::kFloats, kG = kGroup<kBytes>;
+  exp_tile<kBytes>(p, keys, m);
+  float ip[kG], dp[kG];
+  row_pattern<kBytes>(inv_l, ip);
+  row_pattern<kBytes>(D, dp);
+  const std::int64_t n = keys * kTile;
+  std::int64_t e = 0;
+  for (; e + kG <= n; e += kG) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kG / kW; ++v) {
+      probs_step<F>(p + e + v * kW, ds + e + v * kW, ip + v * kW, dp + v * kW,
+                    scale);
+    }
+  }
+  if (e < n) probs_step<F8>(p + e, ds + e, ip, dp, scale);
+}
+
+template <int kBytes>
+[[gnu::always_inline]] inline void merge_impl(float* a, float* a_m,
+                                              float* a_l, const float* b,
+                                              const float* b_m,
+                                              const float* b_l,
+                                              std::int64_t rows,
+                                              std::int64_t d) {
+  using F = typename Vec<kBytes>::F;
+  constexpr int kW = Vec<kBytes>::kFloats;
+  // The rows' weights side by side; lanes past `rows` and rows that take a
+  // branch below compute values nobody reads.
+  F8 am = {}, al = {}, bm = {}, bl = {};
+  for (std::int64_t r = 0; r < rows; ++r) {
+    am[r] = a_m[r];
+    al[r] = a_l[r];
+    bm[r] = b_m[r];
+    bl[r] = b_l[r];
+  }
+  const F8 m = am < bm ? bm : am;
+  F8 ea = am - m, eb = bm - m;
+  exp_impl<F8, U8>(ea, ea);
+  exp_impl<F8, U8>(eb, eb);
+  const F8 wa = al * ea, wb = bl * eb;
+  const F8 l = wa + wb;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* ar = a + r * d;
+    const float* br = b + r * d;
+    if (bl[r] == 0.0f) {
+      if (al[r] == 0.0f) {
+        std::fill(ar, ar + d, 0.0f);
+        a_m[r] = -__builtin_huge_valf();
+        a_l[r] = 0.0f;
+      }
+      continue;
+    }
+    if (al[r] == 0.0f) {
+      std::copy(br, br + d, ar);
+      a_m[r] = bm[r];
+      a_l[r] = bl[r];
+      continue;
+    }
+    const float war = wa[r], wbr = wb[r], lr = l[r];
+    std::int64_t c = 0;
+    for (; c + kW <= d; c += kW) {
+      F av, bv;
+      load(av, ar + c);
+      load(bv, br + c);
+      store(ar + c, (av * war + bv * wbr) / lr);
+    }
+    for (; c < d; ++c) ar[c] = (ar[c] * war + br[c] * wbr) / lr;
+    a_m[r] = m[r];
+    a_l[r] = lr;
   }
 }
 
@@ -542,12 +662,18 @@ template <int kBytes>
   __VA_ARGS__ void name##_softmax(float* s, std::int64_t keys,                 \
                                   const std::int64_t* visible, float* m,       \
                                   float* l) {                                  \
-    softmax_impl(s, keys, visible, m, l);                                      \
+    softmax_impl<bytes>(s, keys, visible, m, l);                               \
   }                                                                            \
   __VA_ARGS__ void name##_probs(float* p, float* ds, std::int64_t keys,        \
                                 const float* m, const float* inv_l,            \
                                 const float* D, float scale) {                 \
-    probs_impl(p, ds, keys, m, inv_l, D, scale);                               \
+    probs_impl<bytes>(p, ds, keys, m, inv_l, D, scale);                        \
+  }                                                                            \
+  __VA_ARGS__ void name##_merge(float* a, float* a_m, float* a_l,              \
+                                const float* b, const float* b_m,              \
+                                const float* b_l, std::int64_t rows,           \
+                                std::int64_t d) {                              \
+    merge_impl<bytes>(a, a_m, a_l, b, b_m, b_l, rows, d);                      \
   }                                                                            \
   __VA_ARGS__ void name##_accumulate(                                          \
       const float* w, const std::int64_t* visible, std::int64_t rows,          \
@@ -568,10 +694,10 @@ template <int kBytes>
                               float* out) {                                    \
     exp_block_impl<bytes>(x, n, m, out);                                       \
   }                                                                            \
-  const Kernels name##_kernels = {name##_gemm,       name##_scores,            \
-                                  name##_softmax,    name##_probs,             \
-                                  name##_accumulate, name##_rank1,             \
-                                  name##_add,        name##_exp};
+  const Kernels name##_kernels = {                                             \
+      name##_gemm,  name##_scores,     name##_softmax, name##_probs,           \
+      name##_merge, name##_accumulate, name##_rank1,   name##_add,             \
+      name##_exp};
 
 // Baseline ISA of the build (SSE2 on x86-64).
 SLIM_DEFINE_KERNELS(generic, 16)

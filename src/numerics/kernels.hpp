@@ -67,6 +67,13 @@ struct Kernels {
   /// p = exp(p − m[r])·inv_l[r], then ds = p·(ds − D[r])·scale.
   void (*probs)(float* p, float* ds, std::int64_t keys, const float* m,
                 const float* inv_l, const float* D, float scale);
+  /// Online-softmax merge of rows r < rows ≤ kTile, in place: row r of b
+  /// (normalized output b[r*d ..], max b_m[r], normalizer b_l[r]) folds
+  /// into row r of a (a[r*d ..], a_m[r], a_l[r]) with attn_merge's formula.
+  /// A row with l == 0 has no visible keys.
+  void (*merge)(float* a, float* a_m, float* a_l, const float* b,
+                const float* b_m, const float* b_l, std::int64_t rows,
+                std::int64_t d);
   /// y[r*ldy + c] += w[j*kTile + r]·m[j*ld + c] for j = 0, 1, ...,
   /// visible[r]-1 in turn (r < rows ≤ kTile, c < dim).
   void (*accumulate)(const float* w, const std::int64_t* visible,
