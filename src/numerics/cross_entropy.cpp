@@ -39,15 +39,17 @@ CeResult cross_entropy(const Tensor& logits,
       SLIM_CHECK(y >= 0 && y < vocab, "target out of vocabulary");
       float m = kNegInf;
       for (std::int64_t c = 0; c < vocab; ++c) m = std::max(m, logits.at(t, c));
+      // Each exp once: parked in the dlogits row until l is known.
+      float* row = result.dlogits.data() + t * vocab;
       double l = 0.0;
       for (std::int64_t c = 0; c < vocab; ++c) {
-        l += std::exp(logits.at(t, c) - m);
+        row[c] = std::exp(logits.at(t, c) - m);
+        l += row[c];
       }
       loss += std::log(l) + m - logits.at(t, y);
       for (std::int64_t c = 0; c < vocab; ++c) {
-        const float p =
-            static_cast<float>(std::exp(logits.at(t, c) - m) / l);
-        result.dlogits.at(t, c) = (p - (c == y ? 1.0f : 0.0f)) * inv_tokens;
+        const float p = static_cast<float>(row[c] / l);
+        row[c] = (p - (c == y ? 1.0f : 0.0f)) * inv_tokens;
       }
     }
   });
