@@ -9,15 +9,18 @@
 # the top-level CMakeLists) gets its own build tree under build-<name>/ and
 # runs the ctest label subsets most likely to surface that bug class:
 #
-#   address    faults, mem, ir, sim, obs, dist, telemetry  (lifetime/
-#                                   overflow in the fault machinery, arena
-#                                   tracking, the schedule IR, the simulator
-#                                   core's flat op/CSR tables, the metrics
-#                                   derived from them, the multi-process
-#                                   socket runtime and the flight-recorder/
-#                                   telemetry ring + wire paths)
-#   undefined  faults, mem, ir, sim, obs, dist, telemetry  (integer/shift
-#                                   UB in the same layers)
+#   address    faults, mem, ir, sim, obs, dist, telemetry, numerics
+#                                  (lifetime/overflow in the fault
+#                                   machinery, arena tracking, the schedule
+#                                   IR, the simulator core's flat op/CSR
+#                                   tables, the metrics derived from them,
+#                                   the multi-process socket runtime, the
+#                                   flight-recorder/telemetry ring + wire
+#                                   paths and the numerics kernels, whose
+#                                   attention tiles index strided raw
+#                                   pointers into workspace scratch)
+#   undefined  the same labels     (integer/shift UB in the same layers,
+#                                   e.g. the exp's exponent bit arithmetic)
 #   thread     threads, dist, telemetry  (the threaded runtime tests; the
 #                                   dist supervisor forks single-threaded
 #                                   workers from the pool-owning parent —
@@ -59,7 +62,7 @@ if [[ "$FAST" -eq 0 ]]; then
     if [[ "$san" == "thread" ]]; then
       labels="threads|dist|telemetry|elastic"
     else
-      labels="faults|mem|ir|sim|obs|dist|telemetry|elastic"
+      labels="faults|mem|ir|sim|obs|dist|telemetry|elastic|numerics"
     fi
     echo "== ${san} sanitizer tests (-L '${labels}') =="
     ctest --test-dir "build-${san}" --output-on-failure -j "$JOBS" \
