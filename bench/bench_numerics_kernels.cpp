@@ -11,6 +11,7 @@
 #include "bench_common.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "src/numerics/arena.hpp"
+#include "src/numerics/attention.hpp"
 #include "src/numerics/cross_entropy.hpp"
 #include "src/numerics/norm_act.hpp"
 #include "src/numerics/tensor.hpp"
@@ -161,6 +163,52 @@ int main(int argc, char** argv) {
       layer.reset();
       return layer.forward_slice(x, 0, 0);
     });
+  }
+
+  // --- streamed attention: the last slice of a sequence over every KV
+  // chunk (d = 16 over 8 chunks of 64 keys is the perfbench train-threads
+  // shape; d = 128 over 4 chunks of 256 keys a wide-head one) ---
+  {
+    struct AttnShape {
+      std::int64_t d, chunks, keys;
+    };
+    const std::vector<AttnShape> shapes =
+        smoke ? std::vector<AttnShape>{{16, 2, 32}, {32, 2, 64}}
+              : std::vector<AttnShape>{{16, 8, 64}, {128, 4, 256}};
+    for (const AttnShape& shape : shapes) {
+      const std::int64_t s = shape.keys, d = shape.d;
+      std::vector<num::KvChunk> chunks;
+      for (std::int64_t c = 0; c < shape.chunks; ++c) {
+        chunks.push_back({Tensor::randn(s, d, rng), Tensor::randn(s, d, rng),
+                          c * s});
+      }
+      const Tensor q = Tensor::randn(s, d, rng);
+      const Tensor dout = Tensor::randn(s, d, rng);
+      const std::int64_t q_offset = (shape.chunks - 1) * s;
+      const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+      // Visible (query, key) pairs: 4·d FLOPs each forward, 10·d backward.
+      const double visible = static_cast<double>(q_offset) * s +
+                             static_cast<double>(s) * (s + 1) / 2.0;
+      const std::string name = " d=" + std::to_string(d) + " " +
+                               std::to_string(shape.chunks) + "x" +
+                               std::to_string(s);
+      sweep_kernel(table, "attn fwd" + name, 4.0 * d * visible * 1e-9, [&] {
+        return num::attn_streamed(q, chunks, q_offset, scale).out;
+      });
+      const num::AttnPartial fwd =
+          num::attn_streamed(q, chunks, q_offset, scale);
+      sweep_kernel(table, "attn bwd" + name, 10.0 * d * visible * 1e-9, [&] {
+        Tensor dq;
+        std::vector<Tensor> dk(chunks.size(), Tensor(s, d));
+        std::vector<Tensor> dv(chunks.size(), Tensor(s, d));
+        num::attn_streamed_bwd(q, chunks, q_offset, scale, fwd, dout, dq, dk,
+                               dv);
+        std::vector<Tensor> all = {dq};
+        all.insert(all.end(), dk.begin(), dk.end());
+        all.insert(all.end(), dv.begin(), dv.end());
+        return Tensor::vcat(all);
+      });
+    }
   }
 
   // --- cross entropy (the output head's loss kernel) ---
