@@ -88,14 +88,12 @@ AttnPartial streamed_forward(Isa isa, const Tensor& q,
   acc.l.assign(static_cast<std::size_t>(s), 0.0f);
 
   const Kernels& kern = kernels(isa);
-  // Every chunk's Kᵀ, packed once for all query tiles.
+  // Every chunk's Kᵀ, packed once for all query tiles, back to back.
   WorkspaceLease<double> kt(dk * total_keys);
-  std::vector<double*> chunk_kt;
-  double* next = kt.data();
+  std::int64_t packed = 0;
   for (const KvView& chunk : chunks) {
-    pack_transposed(chunk.k, next);
-    chunk_kt.push_back(next);
-    next += dk * chunk.k.rows();
+    pack_transposed(chunk.k, kt.data() + packed);
+    packed += dk * chunk.k.rows();
   }
 
   pool().parallel_for(0, s, kQueryGrain, [&](std::int64_t i0,
@@ -108,14 +106,16 @@ AttnPartial streamed_forward(Isa isa, const Tensor& q,
     WorkspaceLease<float> w(max_keys * kTile);
     WorkspaceLease<float> part(kTile * d);
     pack_tile(q, i0, rows, qt.data());
-    for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
-      const KvView& chunk = chunks[ci];
+    const double* chunk_kt = kt.data();
+    for (const KvView& chunk : chunks) {
+      const std::int64_t kv = chunk.k.rows();
+      const double* ktc = chunk_kt;
+      chunk_kt += dk * kv;
       std::int64_t visible[kTile];
-      const std::int64_t keys = visible_keys(q_offset, i0, rows, chunk.pos,
-                                             chunk.k.rows(), visible);
+      const std::int64_t keys =
+          visible_keys(q_offset, i0, rows, chunk.pos, kv, visible);
       if (keys == 0) continue;
-      kern.scores(qt.data(), chunk_kt[ci], chunk.k.rows(), dk, keys, scale,
-                  w.data());
+      kern.scores(qt.data(), ktc, kv, dk, keys, scale, w.data());
       float m[kTile], l[kTile];
       kern.softmax(w.data(), keys, visible, m, l);
       std::fill(part.data(), part.data() + rows * d, 0.0f);

@@ -164,9 +164,10 @@ template <typename F, typename U>
   p = p * r + 1.6666665459e-1f;
   p = p * r + 5.0000001201e-1f;
   p = p * (r * r) + r + 1.0f;
-  // 2^n = 2^a·2^b with a = floor(n/2), b = n − a: both normal for |n| ≤
-  // 252, so p·2^a is exact and only the last product rounds. Unsigned
-  // arithmetic: no shift of a negative value, whatever t holds.
+  // 2^n = 2^(n/2 rounded down)·2^(the rest), built as biased exponent
+  // fields a and b: both normal for |n| ≤ 252, so p·2^a is exact and only
+  // the last product rounds. Unsigned arithmetic: no shift of a negative
+  // value, whatever t holds.
   U bits;
   std::memcpy(&bits, &t, sizeof bits);
   const U biased = bits - kRoundShiftBits + 254u;  // n + 2·127
