@@ -181,6 +181,27 @@ Layer::SliceFootprint Layer::slice_footprint(std::int64_t slice_len) const {
   return fp;
 }
 
+std::vector<std::vector<KvChunk>> Layer::kv_head_chunks(
+    const MicrobatchState& st) const {
+  // One list per kv head, shared by the q heads of its GQA group. The kv
+  // heads' column bands are copied in parallel (disjoint lists).
+  const std::int64_t hd = dims_.head_dim();
+  std::vector<std::vector<KvChunk>> lists(
+      static_cast<std::size_t>(dims_.kv_heads));
+  pool().parallel_for(0, dims_.kv_heads, 1,
+                      [&](std::int64_t h0, std::int64_t h1) {
+    for (std::int64_t kh = h0; kh < h1; ++kh) {
+      std::vector<KvChunk>& chunks = lists[static_cast<std::size_t>(kh)];
+      chunks.reserve(st.cache.size());
+      for (const CacheChunk& cc : st.cache) {
+        chunks.push_back({cc.k.slice_cols(kh * hd, (kh + 1) * hd),
+                          cc.v.slice_cols(kh * hd, (kh + 1) * hd), cc.pos});
+      }
+    }
+  });
+  return lists;
+}
+
 Tensor Layer::forward_slice(const Tensor& x, std::int64_t pos, int mb) {
   MicrobatchState& st = state_of(mb);
   SLIM_CHECK(x.cols() == dims_.hidden, "layer input width mismatch");
@@ -211,24 +232,10 @@ Tensor Layer::forward_slice(const Tensor& x, std::int64_t pos, int mb) {
   Tensor k = matmul(h1, weights_.wk);
   Tensor v = matmul(h1, weights_.wv);
 
-  // RoPE is applied per head (each head's feature pairs rotate with the
-  // same schedule). Heads touch disjoint column bands, so they rotate in
-  // parallel.
-  pool().parallel_for(0, dims_.heads, 1, [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t head = h0; head < h1; ++head) {
-      Tensor qh = q.slice_cols(head * hd, (head + 1) * hd);
-      rope_apply(qh, pos);
-      q.assign_cols(head * hd, qh);
-    }
-  });
-  pool().parallel_for(0, dims_.kv_heads, 1,
-                      [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t kh = h0; kh < h1; ++kh) {
-      Tensor khh = k.slice_cols(kh * hd, (kh + 1) * hd);
-      rope_apply(khh, pos);
-      k.assign_cols(kh * hd, khh);
-    }
-  });
+  // RoPE rotates every head band in place (each head's feature pairs
+  // rotate with the same schedule).
+  rope_apply(q, pos, hd);
+  rope_apply(k, pos, hd);
   {
     ArenaBinding bind(arena, mem::kActivation);
     acts.q_rot = q;  // q is still needed by the attention loop below
@@ -253,21 +260,15 @@ Tensor Layer::forward_slice(const Tensor& x, std::int64_t pos, int mb) {
   acts.m.resize(static_cast<std::size_t>(dims_.heads));
   acts.l.resize(static_cast<std::size_t>(dims_.heads));
   const std::int64_t group = dims_.heads / dims_.kv_heads;
+  const std::vector<std::vector<KvChunk>> kv_chunks = kv_head_chunks(st);
   // Heads are independent in forward: disjoint columns of attn_cat and
   // disjoint m/l slots. Attention kernels called from inside this loop run
   // inline (nested parallel_for serializes).
   pool().parallel_for(0, dims_.heads, 1, [&](std::int64_t h0, std::int64_t h1) {
     for (std::int64_t head = h0; head < h1; ++head) {
-      const std::int64_t kv_head = head / group;
       const Tensor qh = q.slice_cols(head * hd, (head + 1) * hd);
-      std::vector<KvChunk> chunks;
-      chunks.reserve(st.cache.size());
-      for (const CacheChunk& cc : st.cache) {
-        chunks.push_back({cc.k.slice_cols(kv_head * hd, (kv_head + 1) * hd),
-                          cc.v.slice_cols(kv_head * hd, (kv_head + 1) * hd),
-                          cc.pos});
-      }
-      const AttnPartial part = attn_streamed(qh, chunks, pos, scale);
+      const AttnPartial part = attn_streamed(
+          qh, kv_chunks[static_cast<std::size_t>(head / group)], pos, scale);
       attn_cat.assign_cols(head * hd, part.out);
       acts.m[static_cast<std::size_t>(head)] = part.m;
       acts.l[static_cast<std::size_t>(head)] = part.l;
@@ -349,17 +350,10 @@ Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
       static_cast<std::size_t>(dims_.heads));
   std::vector<std::vector<Tensor>> dv_per_head(
       static_cast<std::size_t>(dims_.heads));
+  const std::vector<std::vector<KvChunk>> kv_chunks = kv_head_chunks(st);
   pool().parallel_for(0, dims_.heads, 1, [&](std::int64_t h0, std::int64_t h1) {
     for (std::int64_t head = h0; head < h1; ++head) {
-      const std::int64_t kv_head = head / group;
       const Tensor qh = acts.q_rot.slice_cols(head * hd, (head + 1) * hd);
-      std::vector<KvChunk> chunks;
-      chunks.reserve(st.cache.size());
-      for (const CacheChunk& cc : st.cache) {
-        chunks.push_back({cc.k.slice_cols(kv_head * hd, (kv_head + 1) * hd),
-                          cc.v.slice_cols(kv_head * hd, (kv_head + 1) * hd),
-                          cc.pos});
-      }
       AttnPartial fwd;
       fwd.out = acts.attn_cat.slice_cols(head * hd, (head + 1) * hd);
       fwd.m = acts.m[static_cast<std::size_t>(head)];
@@ -375,8 +369,9 @@ Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
         dv_chunks.emplace_back(cc.v.rows(), hd);
       }
       Tensor dqh;
-      attn_streamed_bwd(qh, chunks, acts.pos, scale, fwd, dout_h, dqh,
-                        dk_chunks, dv_chunks);
+      attn_streamed_bwd(qh, kv_chunks[static_cast<std::size_t>(head / group)],
+                        acts.pos, scale, fwd, dout_h, dqh, dk_chunks,
+                        dv_chunks);
       dq.assign_cols(head * hd, dqh);
     }
   });
@@ -403,22 +398,9 @@ Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
   // ---- this slice's own KV chunk is now complete: project back ----
   CacheChunk own = std::move(st.cache.back());
   st.cache.pop_back();
-  // Undo RoPE on dq and dk (disjoint column bands per head).
-  pool().parallel_for(0, dims_.heads, 1, [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t head = h0; head < h1; ++head) {
-      Tensor dqh = dq.slice_cols(head * hd, (head + 1) * hd);
-      rope_apply_bwd(dqh, acts.pos);
-      dq.assign_cols(head * hd, dqh);
-    }
-  });
-  pool().parallel_for(0, dims_.kv_heads, 1,
-                      [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t kh = h0; kh < h1; ++kh) {
-      Tensor dkh = own.dk.slice_cols(kh * hd, (kh + 1) * hd);
-      rope_apply_bwd(dkh, acts.pos);
-      own.dk.assign_cols(kh * hd, dkh);
-    }
-  });
+  // Undo RoPE on dq and dk.
+  rope_apply_bwd(dq, acts.pos, hd);
+  rope_apply_bwd(own.dk, acts.pos, hd);
 
   const Tensor h1 = rmsnorm(acts.x, weights_.norm1);  // recompute
   grads.wq.add_(matmul_tn(h1, dq));

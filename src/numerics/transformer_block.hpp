@@ -142,6 +142,9 @@ class Layer {
   };
 
   MicrobatchState& state_of(int mb);
+  /// Every cached chunk's K/V columns of each kv head, one list per kv head.
+  std::vector<std::vector<KvChunk>> kv_head_chunks(
+      const MicrobatchState& st) const;
 
   BlockDims dims_;
   LayerWeights weights_;

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/numerics/norm_act.hpp"
 #include "src/numerics/rope.hpp"
@@ -11,6 +16,43 @@
 
 namespace slim::num {
 namespace {
+
+// The rotation before the (cos, sin) table: every angle computed in place,
+// one head band (all of `x`) at a time.
+void oracle_rotate(Tensor& x, std::int64_t pos_offset, float sign) {
+  const std::int64_t d = x.cols();
+  for (std::int64_t r = 0; r < x.rows(); ++r) {
+    const float pos = static_cast<float>(pos_offset + r);
+    for (std::int64_t i = 0; i < d / 2; ++i) {
+      const float theta =
+          pos * std::pow(kRopeBase, -2.0f * static_cast<float>(i) /
+                                        static_cast<float>(d));
+      const float c = std::cos(theta), s = sign * std::sin(theta);
+      const float x0 = x.at(r, 2 * i), x1 = x.at(r, 2 * i + 1);
+      x.at(r, 2 * i) = x0 * c - x1 * s;
+      x.at(r, 2 * i + 1) = x0 * s + x1 * c;
+    }
+  }
+}
+
+// oracle_rotate on each head band of `x` in turn.
+Tensor oracle_rope(const Tensor& x, std::int64_t pos_offset,
+                   std::int64_t head_dim, float sign) {
+  Tensor out = x;
+  for (std::int64_t c = 0; c < x.cols(); c += head_dim) {
+    Tensor band = x.slice_cols(c, c + head_dim);
+    oracle_rotate(band, pos_offset, sign);
+    out.assign_cols(c, band);
+  }
+  return out;
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) ==
+             0;
+}
 
 double dot(const Tensor& a, const Tensor& b) {
   double sum = 0.0;
@@ -193,6 +235,73 @@ TEST(RopeTest, GradCheck) {
     const double lo = value();
     x.data()[i] = orig;
     EXPECT_NEAR((hi - lo) / (2.0 * eps), grad.data()[i], 2e-3);
+  }
+}
+
+// The table gives the bits of the in-place angles: positions past any
+// first table size (which grows on the way up), whole projections of 1 and
+// 4 head bands, forward and backward, and the two-argument form.
+TEST(RopeTableTest, MatchesDirectAnglesBitExact) {
+  Rng rng(11);
+  for (std::int64_t pos : {0, 1, 4095, 70000}) {
+    for (std::int64_t rows : {1, 7, 64}) {
+      for (std::int64_t d : {2, 8, 16, 128}) {
+        for (std::int64_t heads : {1, 4}) {
+          const Tensor x = Tensor::randn(rows, heads * d, rng, 1.0f);
+          const std::string where =
+              "pos " + std::to_string(pos) + " rows " + std::to_string(rows) +
+              " d " + std::to_string(d) + " heads " + std::to_string(heads);
+          Tensor fwd = x, bwd = x;
+          rope_apply(fwd, pos, d);
+          rope_apply_bwd(bwd, pos, d);
+          EXPECT_TRUE(same_bytes(fwd, oracle_rope(x, pos, d, 1.0f))) << where;
+          EXPECT_TRUE(same_bytes(bwd, oracle_rope(x, pos, d, -1.0f)))
+              << where;
+          if (heads == 1) {
+            Tensor fwd2 = x, bwd2 = x;
+            rope_apply(fwd2, pos);
+            rope_apply_bwd(bwd2, pos);
+            EXPECT_TRUE(same_bytes(fwd2, fwd)) << where;
+            EXPECT_TRUE(same_bytes(bwd2, bwd)) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Four threads rotate disjoint position ranges of a head dim no other test
+// uses, so they race to create and grow its table.
+TEST(RopeTableTest, ConcurrentThreadsGrowOneTable) {
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kD = 24, kHeads = 2, kRows = 16;
+  std::vector<Tensor> inputs;
+  Rng rng(12);
+  for (int t = 0; t < kThreads; ++t) {
+    inputs.push_back(Tensor::randn(kRows, kHeads * kD, rng, 1.0f));
+  }
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::int64_t step = 0; step < 12; ++step) {
+        const std::int64_t pos = t * 12000 + step * 1000;
+        const Tensor& x = inputs[static_cast<std::size_t>(t)];
+        Tensor fwd = x, bwd = x;
+        rope_apply(fwd, pos, kD);
+        rope_apply_bwd(bwd, pos, kD);
+        if (!same_bytes(fwd, oracle_rope(x, pos, kD, 1.0f))) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+        if (!same_bytes(bwd, oracle_rope(x, pos, kD, -1.0f))) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
   }
 }
 
