@@ -199,6 +199,74 @@ template <int kBytes>
   for (; j < n; ++j) exp_impl<float, std::uint32_t>(out[j], x[j] - m);
 }
 
+// ---- SwiGLU ----------------------------------------------------------------
+
+// One element (F = float, U = uint32) or one vector of them; the float form
+// is also the vector loops' tail, so every lane has the scalar bits.
+template <typename F, typename U>
+[[gnu::always_inline]] inline void swiglu_step(const F& g, const F& up,
+                                               F& out) {
+  F e;
+  exp_impl<F, U>(e, -g);
+  out = g / (1.0f + e) * up;
+}
+
+template <typename F, typename U>
+[[gnu::always_inline]] inline void swiglu_bwd_step(const F& g, const F& up,
+                                                   const F& dout, F& dg,
+                                                   F& du, F& out) {
+  F e;
+  exp_impl<F, U>(e, -g);
+  const F d = 1.0f + e;
+  const F s = 1.0f / d;
+  const F silu = g / d;
+  dg = dout * up * (s * (1.0f + g * (1.0f - s)));
+  du = dout * silu;
+  out = silu * up;
+}
+
+template <int kBytes>
+[[gnu::always_inline]] inline void swiglu_impl(const float* g,
+                                               const float* up,
+                                               std::int64_t n, float* out) {
+  using F = typename Vec<kBytes>::F;
+  using U = typename Vec<kBytes>::U;
+  constexpr int kW = Vec<kBytes>::kFloats;
+  std::int64_t e = 0;
+  for (; e + kW <= n; e += kW) {
+    F gv, uv, ov;
+    load(gv, g + e);
+    load(uv, up + e);
+    swiglu_step<F, U>(gv, uv, ov);
+    store(out + e, ov);
+  }
+  for (; e < n; ++e) swiglu_step<float, std::uint32_t>(g[e], up[e], out[e]);
+}
+
+template <int kBytes>
+[[gnu::always_inline]] inline void swiglu_bwd_impl(
+    const float* g, const float* up, const float* dout, std::int64_t n,
+    float* dg, float* du, float* out) {
+  using F = typename Vec<kBytes>::F;
+  using U = typename Vec<kBytes>::U;
+  constexpr int kW = Vec<kBytes>::kFloats;
+  std::int64_t e = 0;
+  for (; e + kW <= n; e += kW) {
+    F gv, uv, dv, dgv, duv, ov;
+    load(gv, g + e);
+    load(uv, up + e);
+    load(dv, dout + e);
+    swiglu_bwd_step<F, U>(gv, uv, dv, dgv, duv, ov);
+    store(dg + e, dgv);
+    store(du + e, duv);
+    store(out + e, ov);
+  }
+  for (; e < n; ++e) {
+    swiglu_bwd_step<float, std::uint32_t>(g[e], up[e], dout[e], dg[e], du[e],
+                                          out[e]);
+  }
+}
+
 // ---- attention -------------------------------------------------------------
 //
 // Attention works on tiles of kTile query rows. Score tiles are key-major
@@ -695,10 +763,19 @@ template <int kBytes>
                               float* out) {                                    \
     exp_block_impl<bytes>(x, n, m, out);                                       \
   }                                                                            \
+  __VA_ARGS__ void name##_swiglu(const float* g, const float* up,              \
+                                 std::int64_t n, float* out) {                 \
+    swiglu_impl<bytes>(g, up, n, out);                                         \
+  }                                                                            \
+  __VA_ARGS__ void name##_swiglu_bwd(const float* g, const float* up,          \
+                                     const float* dout, std::int64_t n,        \
+                                     float* dg, float* du, float* out) {       \
+    swiglu_bwd_impl<bytes>(g, up, dout, n, dg, du, out);                       \
+  }                                                                            \
   const Kernels name##_kernels = {                                             \
-      name##_gemm,  name##_scores,     name##_softmax, name##_probs,           \
-      name##_merge, name##_accumulate, name##_rank1,   name##_add,             \
-      name##_exp};
+      name##_gemm,   name##_scores,     name##_softmax, name##_probs,          \
+      name##_merge,  name##_accumulate, name##_rank1,   name##_add,            \
+      name##_exp,    name##_swiglu,     name##_swiglu_bwd};
 
 // Baseline ISA of the build (SSE2 on x86-64).
 SLIM_DEFINE_KERNELS(generic, 16)

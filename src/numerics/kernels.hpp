@@ -10,8 +10,9 @@
 // *across* independent output elements (GEMM columns, attention keys, head
 // dims, the rows of an attention tile), never across a reduction. No
 // variant contracts to FMA: src/numerics is built with -ffp-contract=off.
-// Attention's exp is the repository's own (`exp` below), not libm's, so its
-// bits do not depend on which expf the host's C library picks.
+// Attention's and SwiGLU's exp is the repository's own (`exp` below), not
+// libm's, so their bits do not depend on which expf the host's C library
+// picks.
 //
 // Each kernel is written once with GCC vector types and instantiated per
 // ISA; `active_isa()` picks the widest one the host supports at first use.
@@ -34,7 +35,8 @@ std::vector<Isa> supported_isas();
 /// The widest supported variant; chosen once per process.
 Isa active_isa();
 
-/// The repository exp, the one attention uses: x = n·ln2 + r with ln2 split
+/// The repository exp, the one attention and SwiGLU use: x = n·ln2 + r with
+/// ln2 split
 /// in a high and a low part, e^r by a fixed polynomial, 2^n from integer
 /// bits; no FMA, no libm. exp(±0) == 1 exactly, 0 below the float underflow
 /// threshold (never a denormal) and for −inf, +inf on overflow, NaN for
@@ -88,6 +90,14 @@ struct Kernels {
   void (*add)(float* y, const float* x, std::int64_t n);
   /// out[j] = exp(x[j] − m) for j < n, with the repository exp.
   void (*exp)(const float* x, std::int64_t n, float m, float* out);
+  /// SwiGLU for e < n: out = g / (1 + exp(−g)) · up.
+  void (*swiglu)(const float* g, const float* up, std::int64_t n,
+                 float* out);
+  /// SwiGLU backward for e < n, one exp per element: with d = 1 + exp(−g),
+  /// s = 1/d and silu = g/d, dg = dout·up·(s·(1 + g·(1 − s))),
+  /// du = dout·silu and out = silu·up (the forward's bits).
+  void (*swiglu_bwd)(const float* g, const float* up, const float* dout,
+                     std::int64_t n, float* dg, float* du, float* out);
 };
 
 /// The kernel table of `isa`, which must be supported by this host.

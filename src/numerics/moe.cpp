@@ -21,11 +21,10 @@ Tensor expert_backward(const ExpertWeights& w, ExpertWeights& grads,
                        const Tensor& x, const Tensor& dy) {
   const Tensor gate = matmul(x, w.w_gate);
   const Tensor up = matmul(x, w.w_up);
-  const Tensor hidden = swiglu(gate, up);
-  grads.w_down.add_(matmul_tn(hidden, dy));
   const Tensor dhidden = matmul_nt(dy, w.w_down);
   Tensor dgate, dup;
-  swiglu_bwd(gate, up, dhidden, dgate, dup);
+  const Tensor hidden = swiglu_bwd(gate, up, dhidden, dgate, dup);
+  grads.w_down.add_(matmul_tn(hidden, dy));
   grads.w_gate.add_(matmul_tn(x, dgate));
   grads.w_up.add_(matmul_tn(x, dup));
   Tensor dx = matmul_nt(dgate, w.w_gate);

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/numerics/arena.hpp"
+#include "src/numerics/kernels.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace slim::num {
@@ -85,10 +86,10 @@ Tensor rmsnorm_bwd(const Tensor& x, const Tensor& weight, const Tensor& dy,
   return dx;
 }
 
-float silu(float x) { return x / (1.0f + std::exp(-x)); }
+float silu(float x) { return x / (1.0f + simd::exp(-x)); }
 
 float silu_grad(float x) {
-  const float s = 1.0f / (1.0f + std::exp(-x));
+  const float s = 1.0f / (1.0f + simd::exp(-x));
   return s * (1.0f + x * (1.0f - s));
 }
 
@@ -97,28 +98,31 @@ Tensor swiglu(const Tensor& gate, const Tensor& up) {
              "swiglu shape mismatch");
   // Every element of out is written exactly once — uninit is safe.
   Tensor out = Tensor::uninit(gate.rows(), gate.cols());
+  const simd::Kernels& kern = simd::kernels(simd::active_isa());
   pool().parallel_for(0, gate.size(), kFlatGrain,
                       [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      out.data()[i] = silu(gate.data()[i]) * up.data()[i];
-    }
+    kern.swiglu(gate.data() + lo, up.data() + lo, hi - lo, out.data() + lo);
   });
   return out;
 }
 
-void swiglu_bwd(const Tensor& gate, const Tensor& up, const Tensor& dout,
-                Tensor& dgate, Tensor& dup) {
-  // Both outputs are fully written — uninit is safe.
+Tensor swiglu_bwd(const Tensor& gate, const Tensor& up, const Tensor& dout,
+                  Tensor& dgate, Tensor& dup) {
+  SLIM_CHECK(gate.rows() == up.rows() && gate.cols() == up.cols() &&
+                 dout.rows() == gate.rows() && dout.cols() == gate.cols(),
+             "swiglu_bwd shape mismatch");
+  // All three outputs are fully written — uninit is safe.
   dgate = Tensor::uninit(gate.rows(), gate.cols());
   dup = Tensor::uninit(up.rows(), up.cols());
+  Tensor out = Tensor::uninit(gate.rows(), gate.cols());
+  const simd::Kernels& kern = simd::kernels(simd::active_isa());
   pool().parallel_for(0, gate.size(), kFlatGrain,
                       [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      dgate.data()[i] =
-          dout.data()[i] * up.data()[i] * silu_grad(gate.data()[i]);
-      dup.data()[i] = dout.data()[i] * silu(gate.data()[i]);
-    }
+    kern.swiglu_bwd(gate.data() + lo, up.data() + lo, dout.data() + lo,
+                    hi - lo, dgate.data() + lo, dup.data() + lo,
+                    out.data() + lo);
   });
+  return out;
 }
 
 }  // namespace slim::num

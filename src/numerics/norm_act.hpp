@@ -3,8 +3,10 @@
 // RMSNorm and SwiGLU with manual backward passes.
 //
 // Both follow the paper's memory-thrifty conventions (§5): RMSNorm keeps no
-// output (gradients are recomputed from the input), and SwiGLU recomputes
-// the swish product from the stored gate/up projections.
+// output (gradients are recomputed from the input), and SwiGLU's backward
+// recomputes the swish product from the stored gate/up projections. SiLU
+// uses the repository exp (kernels.hpp): the scalar functions below and
+// the vector kernels give the same bits.
 
 #include "src/numerics/tensor.hpp"
 
@@ -27,8 +29,9 @@ float silu_grad(float x);
 /// out = silu(gate) * up, elementwise.
 Tensor swiglu(const Tensor& gate, const Tensor& up);
 
-/// Backward: fills dgate and dup from dout (recomputing silu from gate).
-void swiglu_bwd(const Tensor& gate, const Tensor& up, const Tensor& dout,
-                Tensor& dgate, Tensor& dup);
+/// Backward: fills dgate and dup from dout and returns swiglu(gate, up),
+/// recomputed with the same exp (one per element for all three).
+Tensor swiglu_bwd(const Tensor& gate, const Tensor& up, const Tensor& dout,
+                  Tensor& dgate, Tensor& dup);
 
 }  // namespace slim::num

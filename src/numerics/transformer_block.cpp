@@ -321,11 +321,11 @@ Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
   if (is_moe()) {
     dh2 = moe_backward(*moe_dims_, *moe_weights_, h2, dout, *grads.moe);
   } else {
-    const Tensor swiglu_out = swiglu(acts.gate, acts.up);
-    grads.w_down.add_(matmul_tn(swiglu_out, dout));
     const Tensor dswiglu = matmul_nt(dout, weights_.w_down);
     Tensor dgate, dup;
-    swiglu_bwd(acts.gate, acts.up, dswiglu, dgate, dup);
+    const Tensor swiglu_out =
+        swiglu_bwd(acts.gate, acts.up, dswiglu, dgate, dup);
+    grads.w_down.add_(matmul_tn(swiglu_out, dout));
     grads.w_gate.add_(matmul_tn(h2, dgate));
     grads.w_up.add_(matmul_tn(h2, dup));
     dh2 = matmul_nt(dgate, weights_.w_gate);

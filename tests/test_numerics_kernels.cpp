@@ -6,7 +6,8 @@
 // per-query-chunk dk/dv partials folded in chunk order). Attention's exp is
 // the repository's own; the oracles use a scalar copy of it (oracle_exp),
 // and the exp tests below pin that copy to simd::exp and to a correctly
-// rounded reference.
+// rounded reference. The SwiGLU kernels are held to the public scalar
+// silu/silu_grad, which use the same exp.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 
 #include "src/numerics/attention.hpp"
 #include "src/numerics/kernels.hpp"
+#include "src/numerics/norm_act.hpp"
 #include "src/numerics/tensor.hpp"
 #include "src/util/rng.hpp"
 
@@ -557,6 +559,72 @@ TEST(RepoExpTest, EveryIsaAndTheOracleMatchTheScalarForm) {
     simd::kernels(isa).exp(xs.data(), static_cast<std::int64_t>(xs.size()),
                            0.0f, got.data());
     EXPECT_TRUE(same_bytes(got, want)) << simd::isa_name(isa);
+  }
+}
+
+// ---- SwiGLU on the repository exp -------------------------------------------
+
+// Sizes around every ISA's vector width (4, 8, 16 floats) and the
+// train-threads slice (64 x 192).
+const std::int64_t kSwigluSizes[] = {1, 7, 15, 16, 17, 33, 12288};
+
+// n gates spread over [-90, 90], past both ends of the exp's finite range,
+// with +0, -0, +inf and -inf in the first slots that exist.
+std::vector<float> swiglu_gates(std::int64_t n, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> g(static_cast<std::size_t>(n));
+  for (float& x : g) x = static_cast<float>(-90.0 + 180.0 * rng.next_double());
+  const float specials[] = {0.0f, -0.0f, inf, -inf};
+  for (std::size_t i = 0; i < 4 && i < g.size(); ++i) g[i] = specials[i];
+  return g;
+}
+
+// Every ISA's SwiGLU forward and backward give the bits of the scalar
+// silu/silu_grad formulas, and the backward's fused forward output gives
+// the forward's.
+TEST(SwigluKernelTest, EveryIsaMatchesTheScalarForms) {
+  Rng rng(47);
+  for (std::int64_t n : kSwigluSizes) {
+    const std::vector<float> g = swiglu_gates(n, rng);
+    const Tensor up_t = Tensor::randn(1, n, rng, 1.0f);
+    const Tensor dout_t = Tensor::randn(1, n, rng, 1.0f);
+    const std::vector<float> up(up_t.data(), up_t.data() + n);
+    const std::vector<float> dout(dout_t.data(), dout_t.data() + n);
+    const std::size_t un = static_cast<std::size_t>(n);
+    std::vector<float> want_out(un), want_dg(un), want_du(un);
+    for (std::size_t e = 0; e < un; ++e) {
+      want_out[e] = silu(g[e]) * up[e];
+      want_dg[e] = dout[e] * up[e] * silu_grad(g[e]);
+      want_du[e] = dout[e] * silu(g[e]);
+    }
+    for (Isa isa : simd::supported_isas()) {
+      const simd::Kernels& kern = simd::kernels(isa);
+      const std::string where =
+          std::string(simd::isa_name(isa)) + " n=" + std::to_string(n);
+      std::vector<float> out(un), dg(un), du(un), fused(un);
+      kern.swiglu(g.data(), up.data(), n, out.data());
+      kern.swiglu_bwd(g.data(), up.data(), dout.data(), n, dg.data(),
+                      du.data(), fused.data());
+      EXPECT_TRUE(same_bytes(out, want_out)) << where;
+      EXPECT_TRUE(same_bytes(dg, want_dg)) << where;
+      EXPECT_TRUE(same_bytes(du, want_du)) << where;
+      EXPECT_TRUE(same_bytes(fused, want_out)) << where;
+    }
+  }
+}
+
+// The public backward returns the forward's bits, so the layer can take
+// the w_down gradient from it instead of a second forward.
+TEST(SwigluKernelTest, BackwardReturnsTheForwardOutput) {
+  Rng rng(48);
+  for (auto [rows, cols] : {std::pair<std::int64_t, std::int64_t>{64, 192},
+                            {7, 33}, {1, 1}}) {
+    const Tensor g = Tensor::randn(rows, cols, rng, 4.0f);
+    const Tensor up = Tensor::randn(rows, cols, rng, 1.0f);
+    const Tensor dout = Tensor::randn(rows, cols, rng, 1.0f);
+    Tensor dg, du;
+    const Tensor fused = swiglu_bwd(g, up, dout, dg, du);
+    EXPECT_TRUE(same_bytes(fused, swiglu(g, up))) << rows << "x" << cols;
   }
 }
 
