@@ -1,8 +1,10 @@
 // Numerics-kernel throughput on the shared parallel engine
 // (src/util/thread_pool.hpp). For each hot kernel the bench sweeps the
-// pool width in-process (ThreadPool::set_threads), reporting GFLOP/s,
-// speedup over the serial run, and — the engine's contract — whether the
-// output is bit-identical to the 1-thread result at every width.
+// pool width in-process (ThreadPool::set_threads), reporting the time per
+// call (calls repeated back to back until at least 2 ms have passed),
+// GFLOP/s, speedup over the serial run, and — the engine's contract —
+// whether the output is bit-identical to the 1-thread result at every
+// width.
 //
 // SLIMPIPE_BENCH_SMOKE=1 shrinks the shapes so the sweep finishes in
 // seconds (the `perf`-labelled ctest smoke uses it); the full shapes
@@ -22,6 +24,7 @@
 #include "src/numerics/attention.hpp"
 #include "src/numerics/cross_entropy.hpp"
 #include "src/numerics/norm_act.hpp"
+#include "src/numerics/rope.hpp"
 #include "src/numerics/tensor.hpp"
 #include "src/numerics/transformer_block.hpp"
 #include "src/util/rng.hpp"
@@ -47,6 +50,18 @@ double seconds_of(const std::function<void()>& fn) {
   return std::chrono::duration<double>(stop - start).count();
 }
 
+/// Seconds per call of `fn`: the call count doubles until one batch of
+/// back-to-back calls takes at least 2 ms, so sub-millisecond kernels are
+/// not timed off a single call.
+double seconds_per_call(const std::function<void()>& fn) {
+  for (int reps = 1;; reps *= 2) {
+    const double time = seconds_of([&] {
+      for (int i = 0; i < reps; ++i) fn();
+    });
+    if (time >= 2e-3 || reps >= (1 << 20)) return time / reps;
+  }
+}
+
 std::vector<int> sweep_widths() {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   std::vector<int> widths = {1, 2, 4, 8};
@@ -59,11 +74,11 @@ std::vector<int> sweep_widths() {
 }
 
 /// Runs `fn` (which returns the kernel output) at every pool width,
-/// appending one table row per width with GFLOP/s, speedup over the
-/// 1-thread time, heap-allocation count, peak workspace bytes, and the
-/// bit-identity verdict against the 1-thread output. Workspace peak is the
-/// high-water mark across every thread's scratch arena during the call;
-/// allocs counts Tensor heap buffers the call churned.
+/// appending one table row per width with the time per call, GFLOP/s,
+/// speedup over the 1-thread time, heap-allocation count, peak workspace
+/// bytes, and the bit-identity verdict against the 1-thread output.
+/// Workspace peak is the high-water mark across every thread's scratch
+/// arena during one call; allocs counts Tensor heap buffers it churned.
 void sweep_kernel(Table& table, const std::string& kernel, double gflop,
                   const std::function<Tensor()>& fn) {
   util::ThreadPool& pool = util::ThreadPool::global();
@@ -72,12 +87,12 @@ void sweep_kernel(Table& table, const std::string& kernel, double gflop,
   Tensor serial_out;
   for (int width : sweep_widths()) {
     pool.set_threads(width);
-    Tensor out;
     num::workspace_stats().reset();
     const std::int64_t heap_before = num::tensor_heap_allocs();
-    const double time = seconds_of([&] { out = fn(); });
+    const Tensor out = fn();
     const std::int64_t heap_allocs = num::tensor_heap_allocs() - heap_before;
     const std::int64_t peak_ws = num::workspace_stats().total_peak_bytes();
+    const double time = seconds_per_call([&] { (void)fn(); });
     if (width == 1) {
       serial_time = time;
       serial_out = out;
@@ -141,6 +156,33 @@ int main(int argc, char** argv) {
     w.fill(1.0f);
     const double gflop = 3.0 * static_cast<double>(rows) * cols * 1e-9;
     sweep_kernel(table, "rmsnorm", gflop, [&] { return num::rmsnorm(x, w); });
+  }
+
+  // --- the element-wise layers at the perfbench train-threads shape: a
+  // 64 x 192 SwiGLU slab, RoPE over a 64-row projection of 4 heads of
+  // d = 16 (the row shows the copy the rotation works on as well) ---
+  {
+    const std::int64_t rows = 64, ffn = 192, heads = 4, d = 16;
+    const Tensor gate = Tensor::randn(rows, ffn, rng, 2.0f);
+    const Tensor up = Tensor::randn(rows, ffn, rng);
+    const Tensor dout = Tensor::randn(rows, ffn, rng);
+    // Nominal FLOPs, an exp counted as one: 4 per element forward, 12 per
+    // element backward (incl. the fused forward output), 6 per RoPE pair.
+    const double elems = static_cast<double>(rows) * ffn;
+    sweep_kernel(table, "swiglu fwd 64x192", 4.0 * elems * 1e-9,
+                 [&] { return num::swiglu(gate, up); });
+    // The verdict covers dgate; dup and the output come from the same pass.
+    sweep_kernel(table, "swiglu bwd 64x192", 12.0 * elems * 1e-9, [&] {
+      Tensor dgate, dup;
+      (void)num::swiglu_bwd(gate, up, dout, dgate, dup);
+      return dgate;
+    });
+    const Tensor q = Tensor::randn(rows, heads * d, rng);
+    sweep_kernel(table, "rope 64x4x16", 3.0 * rows * heads * d * 1e-9, [&] {
+      Tensor x = q;
+      num::rope_apply(x, 1984, d);
+      return x;
+    });
   }
 
   // --- transformer block forward (one slice; the runtime's unit of work) ---

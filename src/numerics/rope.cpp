@@ -12,7 +12,9 @@ namespace slim::num {
 
 namespace {
 
-constexpr std::int64_t kRowGrain = 32;
+// Elements per parallel chunk (whole rows): a slice's projection is
+// rotated inline, long sequences in parallel.
+constexpr std::int64_t kFlatGrain = 1 << 14;
 // A first table covers this many positions (a 2048-token sequence).
 constexpr std::int64_t kMinPositions = 2048;
 
@@ -110,7 +112,8 @@ void rotate(Tensor& x, std::int64_t pos_offset, std::int64_t d, float sign) {
   SLIM_CHECK(pos_offset >= 0, "RoPE positions must be non-negative");
   const Table& table = table_for(d, pos_offset + x.rows());
   const std::int64_t cols = x.cols();
-  pool().parallel_for(0, x.rows(), kRowGrain,
+  const std::int64_t grain = std::max<std::int64_t>(1, kFlatGrain / cols);
+  pool().parallel_for(0, x.rows(), grain,
                       [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
       const float* cs = table.cs.data() + (pos_offset + r) * d;
