@@ -145,28 +145,23 @@ void Tensor::fill(float value) {
   std::fill(data_, data_ + size(), value);
 }
 
-void Tensor::add_(const Tensor& other) {
-  // add_scaled_(other, 1.0f) with the ISA's add kernel: 1.0f·x == x, so
-  // the bits are the same.
-  SLIM_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
-             "add_ shape mismatch");
-  const simd::Kernels& kern = simd::kernels(simd::active_isa());
-  float* dst = data_;
-  const float* src = other.data_;
-  pool().parallel_for(0, size(), kFlatGrain,
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        kern.add(dst + lo, src + lo, hi - lo);
-                      });
-}
+void Tensor::add_(const Tensor& other) { add_scaled_(other, 1.0f); }
 
 void Tensor::add_scaled_(const Tensor& other, float scale) {
   SLIM_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
              "add_ shape mismatch");
+  // A unit scale runs the ISA's add kernel: 1.0f·x == x, so the bits are
+  // the loop's.
+  const simd::Kernels& kern = simd::kernels(simd::active_isa());
   float* dst = data_;
   const float* src = other.data_;
   pool().parallel_for(
       0, size(), kFlatGrain,
       [&](std::int64_t lo, std::int64_t hi) {
+        if (scale == 1.0f) {
+          kern.add(dst + lo, src + lo, hi - lo);
+          return;
+        }
         for (std::int64_t i = lo; i < hi; ++i) dst[i] += scale * src[i];
       });
 }

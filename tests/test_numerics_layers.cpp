@@ -17,8 +17,8 @@
 namespace slim::num {
 namespace {
 
-// The rotation before the (cos, sin) table: every angle computed in place,
-// one head band (all of `x`) at a time.
+// The direct rotation: every angle computed where it is used, over one
+// head band (all of `x`).
 void oracle_rotate(Tensor& x, std::int64_t pos_offset, float sign) {
   const std::int64_t d = x.cols();
   for (std::int64_t r = 0; r < x.rows(); ++r) {
