@@ -50,16 +50,19 @@ double seconds_of(const std::function<void()>& fn) {
   return std::chrono::duration<double>(stop - start).count();
 }
 
-/// Seconds per call of `fn`: the call count doubles until one batch of
-/// back-to-back calls takes at least 2 ms, so sub-millisecond kernels are
-/// not timed off a single call.
+/// Seconds per call of `fn`, like perfbench's time_kernel: the call count
+/// doubles until one batch of back-to-back calls takes at least 2 ms (which
+/// also warms caches and the host clock), then one more batch of that many
+/// calls is timed, so sub-millisecond kernels are not timed off one call.
 double seconds_per_call(const std::function<void()>& fn) {
-  for (int reps = 1;; reps *= 2) {
-    const double time = seconds_of([&] {
+  const auto batch = [&](int reps) {
+    return seconds_of([&] {
       for (int i = 0; i < reps; ++i) fn();
     });
-    if (time >= 2e-3 || reps >= (1 << 20)) return time / reps;
-  }
+  };
+  int reps = 1;
+  while (batch(reps) < 2e-3 && reps < (1 << 20)) reps *= 2;
+  return batch(reps) / reps;
 }
 
 std::vector<int> sweep_widths() {
