@@ -21,12 +21,15 @@
 #                                   pointers into workspace scratch)
 #   undefined  the same labels     (integer/shift UB in the same layers,
 #                                   e.g. the exp's exponent bit arithmetic)
-#   thread     threads, dist, telemetry  (the threaded runtime tests; the
+#   thread     threads, dist, telemetry, elastic, numerics
+#                                  (the threaded runtime tests; the
 #                                   dist supervisor forks single-threaded
 #                                   workers from the pool-owning parent —
 #                                   exactly the fork/lock interaction TSan
-#                                   should watch — and the telemetry
-#                                   overhead gate runs both substrates)
+#                                   should watch — the telemetry
+#                                   overhead gate runs both substrates, and
+#                                   the numerics kernels share the RoPE
+#                                   position table across stage threads)
 #
 # clang-tidy, when installed, runs over src/ir and src/analysis with the
 # plain tree's compile database; when absent the pass is skipped with a
@@ -60,7 +63,7 @@ if [[ "$FAST" -eq 0 ]]; then
     echo "== ${san} sanitizer build =="
     build_tree "build-${san}" -DSLIMPIPE_SANITIZE="${san}"
     if [[ "$san" == "thread" ]]; then
-      labels="threads|dist|telemetry|elastic"
+      labels="threads|dist|telemetry|elastic|numerics"
     else
       labels="faults|mem|ir|sim|obs|dist|telemetry|elastic|numerics"
     fi
