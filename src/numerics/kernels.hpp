@@ -35,12 +35,11 @@ std::vector<Isa> supported_isas();
 /// The widest supported variant; chosen once per process.
 Isa active_isa();
 
-/// The repository exp, the one attention and SwiGLU use: x = n·ln2 + r with
-/// ln2 split
-/// in a high and a low part, e^r by a fixed polynomial, 2^n from integer
-/// bits; no FMA, no libm. exp(±0) == 1 exactly, 0 below the float underflow
-/// threshold (never a denormal) and for −inf, +inf on overflow, NaN for
-/// NaN. Every ISA's vector form gives these same bits.
+/// The repository exp, the one attention and SwiGLU use: x = n·ln2 + r
+/// with ln2 split in a high and a low part, e^r by a fixed polynomial, 2^n
+/// from integer bits; no FMA, no libm. exp(±0) == 1 exactly, 0 below the
+/// float underflow threshold (never a denormal) and for −inf, +inf on
+/// overflow, NaN for NaN. Every ISA's vector form gives these same bits.
 float exp(float x);
 
 /// Query rows per attention tile. Attention score tiles are key-major,
