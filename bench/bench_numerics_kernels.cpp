@@ -50,17 +50,19 @@ double seconds_of(const std::function<void()>& fn) {
   return std::chrono::duration<double>(stop - start).count();
 }
 
-/// Seconds per call of `fn`, like perfbench's time_kernel: the call count
-/// doubles until one batch of back-to-back calls takes at least 2 ms (which
-/// also warms caches and the host clock), then one more batch of that many
-/// calls is timed, so sub-millisecond kernels are not timed off one call.
+/// Seconds per call of `fn`, like perfbench's time_kernel: a call of at
+/// least 2 ms is timed once; a shorter one doubles its call count until a
+/// batch of back-to-back calls takes 2 ms (which also warms caches and the
+/// host clock), then one more batch of that many calls is timed.
 double seconds_per_call(const std::function<void()>& fn) {
   const auto batch = [&](int reps) {
     return seconds_of([&] {
       for (int i = 0; i < reps; ++i) fn();
     });
   };
-  int reps = 1;
+  const double once = batch(1);
+  if (once >= 2e-3) return once;
+  int reps = 2;
   while (batch(reps) < 2e-3 && reps < (1 << 20)) reps *= 2;
   return batch(reps) / reps;
 }
